@@ -56,10 +56,15 @@ void BM_BandedSW(benchmark::State& state) {
   const int half_width = static_cast<int>(state.range(1));
   const auto seqs = random_proteins(2, len, 44);
   const auto scoring = align::Scoring::pastis_default();
+  std::uint64_t cells = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::banded_smith_waterman(seqs[0], seqs[1], scoring, 0, half_width));
+    const auto res =
+        align::banded_smith_waterman(seqs[0], seqs[1], scoring, 0, half_width);
+    benchmark::DoNotOptimize(res);
+    cells += res.cells;  // band cells, not len * len
   }
+  state.counters["CUPS"] = benchmark::Counter(static_cast<double>(cells),
+                                              benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BandedSW)->Args({512, 16})->Args({512, 64})->Args({512, 256});
 

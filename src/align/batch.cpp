@@ -10,34 +10,22 @@
 
 namespace pastis::align {
 
-AlignResult BatchAligner::run_full_sw(std::string_view q, std::string_view r,
-                                      const AlignTask&) const {
-  return smith_waterman(q, r, scoring_);
-}
-
-AlignResult BatchAligner::run_banded(std::string_view q, std::string_view r,
-                                     const AlignTask& task) const {
-  const int diag =
-      static_cast<int>(task.seed_r) - static_cast<int>(task.seed_q);
-  return banded_smith_waterman(q, r, scoring_, diag, config_.band_half_width);
-}
-
-AlignResult BatchAligner::run_xdrop(std::string_view q, std::string_view r,
-                                    const AlignTask& task) const {
-  return xdrop_extend(q, r, task.seed_q, task.seed_r, config_.seed_len,
-                      scoring_, config_.xdrop);
-}
-
-const BatchAligner::KernelFn BatchAligner::kKernelTable[3] = {
-    &BatchAligner::run_full_sw,  // AlignKind::kFullSW
-    &BatchAligner::run_banded,   // AlignKind::kBanded
-    &BatchAligner::run_xdrop,    // AlignKind::kXDrop
-};
-
 AlignResult BatchAligner::align_pair(std::string_view q, std::string_view r,
                                      const AlignTask& task,
                                      AlignKind kind) const {
-  return (this->*kKernelTable[static_cast<int>(kind)])(q, r, task);
+  switch (kind) {
+    case AlignKind::kFullSW:
+      return smith_waterman(q, r, scoring_);
+    case AlignKind::kBanded:
+      return banded_smith_waterman(
+          q, r, scoring_,
+          static_cast<int>(task.seed_r) - static_cast<int>(task.seed_q),
+          config_.band_half_width);
+    case AlignKind::kXDrop:
+      return xdrop_extend(q, r, task.seed_q, task.seed_r, config_.seed_len,
+                          scoring_, config_.xdrop);
+  }
+  return {};
 }
 
 void BatchAligner::assign_lanes(const SeqAccessor& seq_of,

@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "align/banded.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/xdrop.hpp"
 #include "obs/telemetry.hpp"
@@ -134,11 +133,11 @@ class BatchAligner {
     return align_pair(seq_of(task.q_id), seq_of(task.r_id), task, kind);
   }
 
-  /// One pair through the table-driven kernel dispatch with an explicit
-  /// kind. This is the cascade tiers' entry point: tier 1 probes with a
-  /// cheap kind (banded / x-drop), tier 2 re-runs the configured kind —
-  /// all sharing the same scoring, band and x-drop knobs and the same
-  /// lane-assignment/workspace machinery as the batch paths.
+  /// One pair through the kernel dispatch with an explicit kind, the single
+  /// dispatch point of every batch path and every cascade tier: tier 1
+  /// probes with a cheap kind (banded / x-drop), tier 2 re-runs the
+  /// configured kind — all sharing the same scoring, band and x-drop knobs
+  /// and the same lane-assignment/workspace machinery as the batch paths.
   [[nodiscard]] AlignResult align_pair(std::string_view q, std::string_view r,
                                        const AlignTask& task,
                                        AlignKind kind) const;
@@ -176,18 +175,6 @@ class BatchAligner {
   [[nodiscard]] const Scoring& scoring() const { return scoring_; }
 
  private:
-  /// One kernel entry per AlignKind, indexed by the enum value — the single
-  /// dispatch point shared by every batch path and every cascade tier.
-  using KernelFn = AlignResult (BatchAligner::*)(std::string_view,
-                                                 std::string_view,
-                                                 const AlignTask&) const;
-  static const KernelFn kKernelTable[3];
-  [[nodiscard]] AlignResult run_full_sw(std::string_view q, std::string_view r,
-                                        const AlignTask& task) const;
-  [[nodiscard]] AlignResult run_banded(std::string_view q, std::string_view r,
-                                       const AlignTask& task) const;
-  [[nodiscard]] AlignResult run_xdrop(std::string_view q, std::string_view r,
-                                      const AlignTask& task) const;
   [[nodiscard]] BatchStats stats_with(const SeqAccessor& seq_of,
                                       std::span<const AlignTask> tasks,
                                       std::span<const AlignResult> results,

@@ -145,7 +145,7 @@ struct UngappedExtension {
                               const CascadeOptions& opt, TierStats& ts);
 
 /// Tier-1 screen of one candidate pair: the probe kernel (tier1_kind) via
-/// the aligner's table-driven dispatch, with the per-tier score cutoff.
+/// the aligner's kernel dispatch, with the per-tier score cutoff.
 [[nodiscard]] bool tier1_keep(std::string_view q, std::string_view r,
                               const AlignTask& task,
                               const BatchAligner& aligner,

@@ -12,7 +12,6 @@
 //   pastis::io::write_similarity_graph("out.tsv", result.edges);
 #pragma once
 
-#include "align/banded.hpp"
 #include "align/batch.hpp"
 #include "align/cascade.hpp"
 #include "align/scoring.hpp"

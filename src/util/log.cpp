@@ -79,12 +79,17 @@ std::string format_log_line(LogLevel level, const std::string& message) {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char stamp[40];
+  // Sized for the widest output the formats allow, so snprintf never
+  // truncates: each %d of an int can take 11 characters ("-2147483648"),
+  // the milliseconds 4, the separators and 'Z' 7, plus the terminator.
+  constexpr std::size_t kIntChars = 11;
+  char stamp[6 * kIntChars + 4 + 7 + 1];
   std::snprintf(stamp, sizeof stamp,
                 "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", tm.tm_year + 1900,
                 tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec,
                 static_cast<int>(ms));
-  char prefix[96];
+  // " [pastis " + 5-letter tag + " tid " + an int + "] ".
+  char prefix[sizeof stamp + 9 + 5 + 5 + kIntChars + 2];
   std::snprintf(prefix, sizeof prefix, "%s [pastis %s tid %d] ", stamp,
                 level_tag(level), log_thread_id());
   return std::string(prefix) + message;

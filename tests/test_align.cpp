@@ -1,12 +1,12 @@
 // Alignment kernel tests: Smith-Waterman against an independent reference
-// DP, banded/x-drop variants, and the ADEPT-style batch driver.
+// DP and the path-statistics recurrence, banded/x-drop variants, and the
+// ADEPT-style batch driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "align/banded.hpp"
 #include "align/batch.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/xdrop.hpp"
@@ -47,11 +47,48 @@ int reference_sw_score(const std::string& q, const std::string& r,
   return best;
 }
 
-std::string random_protein(pastis::util::Xoshiro256& rng, std::size_t len) {
-  static const std::string aas = "ARNDCQEGHILKMFPSTWYV";
+std::string random_protein(pastis::util::Xoshiro256& rng, std::size_t len,
+                           std::string_view aas = "ARNDCQEGHILKMFPSTWYV") {
   std::string s(len, 'A');
   for (auto& c : s) c = aas[rng.below(aas.size())];
   return s;
+}
+
+/// A diverged copy: substitutions plus short insertions and deletions.
+std::string mutate(pastis::util::Xoshiro256& rng, const std::string& s,
+                   double rate, std::string_view aas = "ARNDCQEGHILKMFPSTWYV") {
+  std::string out;
+  for (const char c : s) {
+    if (!rng.chance(rate)) {
+      out += c;
+    } else if (rng.chance(0.6)) {
+      out += aas[rng.below(aas.size())];
+    } else if (rng.chance(0.5)) {
+      out += c;
+      out += random_protein(rng, 1 + rng.below(3), aas);
+    }  // else: deleted
+  }
+  return out;
+}
+
+/// Every field of two alignment results, so a tie resolved differently
+/// shows up even when the score agrees.
+void expect_same(const pa::AlignResult& got, const pa::AlignResult& want) {
+  EXPECT_EQ(got.score, want.score);
+  EXPECT_EQ(got.beg_q, want.beg_q);
+  EXPECT_EQ(got.end_q, want.end_q);
+  EXPECT_EQ(got.beg_r, want.beg_r);
+  EXPECT_EQ(got.end_r, want.end_r);
+  EXPECT_EQ(got.matches, want.matches);
+  EXPECT_EQ(got.align_len, want.align_len);
+  EXPECT_EQ(got.cells, want.cells);
+}
+
+/// The path-statistics reference over the whole matrix.
+pa::AlignResult reference_full(const std::string& q, const std::string& r,
+                               const pa::Scoring& sc) {
+  return pa::path_stat_smith_waterman(
+      q, r, sc, 0, static_cast<int>(std::max(q.size(), r.size())));
 }
 
 }  // namespace
@@ -155,6 +192,7 @@ TEST_P(SwRandomSweep, MatchesReferenceDp) {
   const auto r = random_protein(rng, 5 + rng.below(120));
   const auto res = pa::smith_waterman(q, r, scoring());
   EXPECT_EQ(res.score, reference_sw_score(q, r, scoring()));
+  expect_same(res, reference_full(q, r, scoring()));
   EXPECT_EQ(res.score, pa::smith_waterman(r, q, scoring()).score);  // symmetry
   // Path statistics invariants.
   EXPECT_LE(res.matches, res.align_len);
@@ -191,8 +229,7 @@ TEST(Banded, FullWidthEqualsUnbanded) {
     const auto full = pa::smith_waterman(q, r, scoring());
     const auto band = pa::banded_smith_waterman(
         q, r, scoring(), 0, static_cast<int>(q.size() + r.size()));
-    EXPECT_EQ(band.score, full.score);
-    EXPECT_EQ(band.matches, full.matches);
+    expect_same(band, full);
   }
 }
 
@@ -213,6 +250,90 @@ TEST(Banded, FindsOnDiagonalMatch) {
   const std::string r = "CCCWWWWWCCC";
   const auto res = pa::banded_smith_waterman(q, r, scoring(), 0, 3);
   EXPECT_EQ(res.score, 5 * 11);
+}
+
+// The trace-back kernel against the path-statistics recurrence, on inputs
+// built to make the tie-break rules decide the path.
+TEST(TraceKernel, TieForcingPairsMatchReference) {
+  const pa::Scoring scorings[] = {
+      scoring(), pa::Scoring(pa::Scoring::Matrix::kBlosum62, 1, 1),
+      pa::Scoring(pa::Scoring::Matrix::kPam250, 3, 1)};
+  pastis::util::Xoshiro256 rng(71);
+  for (const std::string_view aas : {"AW", "ACW", "AG", "W"}) {
+    for (const auto& sc : scorings) {
+      for (int t = 0; t < 40; ++t) {
+        const auto q = random_protein(rng, 1 + rng.below(60), aas);
+        const auto r = t % 2 == 0 ? mutate(rng, q, 0.3, aas)
+                                  : random_protein(rng, 1 + rng.below(60), aas);
+        expect_same(pa::smith_waterman(q, r, sc), reference_full(q, r, sc));
+        const int diag = static_cast<int>(rng.below(21)) - 10;
+        const int half = static_cast<int>(rng.below(12));
+        expect_same(pa::banded_smith_waterman(q, r, sc, diag, half),
+                    pa::path_stat_smith_waterman(q, r, sc, diag, half));
+      }
+    }
+  }
+}
+
+TEST(TraceKernel, EmptyAndSingleResidueInputs) {
+  for (const std::string q : {"", "A", "W", "AW", "WAAAW"}) {
+    for (const std::string r : {"", "A", "W", "WW", "AWA"}) {
+      expect_same(pa::smith_waterman(q, r, scoring()),
+                  reference_full(q, r, scoring()));
+      for (const int half : {-1, 0, 1, 3}) {
+        for (const int diag : {-3, 0, 2}) {
+          expect_same(pa::banded_smith_waterman(q, r, scoring(), diag, half),
+                      pa::path_stat_smith_waterman(q, r, scoring(), diag, half));
+        }
+      }
+    }
+  }
+  const auto one = pa::smith_waterman("W", "W", scoring());
+  EXPECT_EQ(one.score, 11);
+  EXPECT_EQ(one.end_q, 1u);
+  EXPECT_EQ(one.align_len, 1u);
+  EXPECT_EQ(one.cells, 1u);
+}
+
+// Band half-widths and centres that put the band inside the matrix, across
+// the main diagonal, clipped at the left or right edge or both, and wholly
+// outside it.
+TEST(TraceKernel, BandSweepMatchesReference) {
+  pastis::util::Xoshiro256 rng(83);
+  for (int t = 0; t < 12; ++t) {
+    const auto q = random_protein(rng, 20 + rng.below(90));
+    const auto r = t % 3 == 0 ? random_protein(rng, 20 + rng.below(90))
+                              : mutate(rng, q, 0.25);
+    const int m = static_cast<int>(q.size());
+    const int n = static_cast<int>(r.size());
+    for (const int half : {0, 1, 4, 16, 64, m + n}) {
+      for (const int diag : {-m - half - 1, -m + 2, -20, -3, 0, 5, 17, n - 2,
+                             n + half + 1}) {
+        SCOPED_TRACE(testing::Message() << "pair " << t << " diag " << diag
+                                        << " half " << half);
+        expect_same(pa::banded_smith_waterman(q, r, scoring(), diag, half),
+                    pa::path_stat_smith_waterman(q, r, scoring(), diag, half));
+      }
+    }
+  }
+}
+
+// A DP area exactly at kMaxTraceCells still runs the trace kernel; one just
+// above it takes the path-statistics path. Both must give the reference.
+TEST(TraceKernel, TraceCapBoundaryMatchesReference) {
+  pastis::util::Xoshiro256 rng(89);
+  const auto q = random_protein(rng, 4096);
+  const auto at_cap = mutate(rng, q, 0.1).substr(0, 4096);
+  ASSERT_EQ(at_cap.size(), 4096u);
+  ASSERT_EQ(q.size() * at_cap.size(), pa::kMaxTraceCells);
+  const auto res = pa::smith_waterman(q, at_cap, scoring());
+  expect_same(res, reference_full(q, at_cap, scoring()));
+  EXPECT_GT(res.align_len, 3500u);
+
+  const std::string above = at_cap + "W";
+  ASSERT_GT(q.size() * above.size(), pa::kMaxTraceCells);
+  expect_same(pa::smith_waterman(q, above, scoring()),
+              reference_full(q, above, scoring()));
 }
 
 TEST(XDrop, ExactSeedExtendsFully) {
