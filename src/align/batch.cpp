@@ -49,20 +49,6 @@ void BatchAligner::assign_lanes(const SeqAccessor& seq_of,
   }
 }
 
-std::vector<int> BatchAligner::assign_lanes(
-    const SeqAccessor& seq_of, std::span<const AlignTask> tasks) const {
-  LaneScratch scratch;
-  assign_lanes(seq_of, tasks, scratch);
-  return std::move(scratch.lanes);
-}
-
-BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
-                                   std::span<const AlignTask> tasks,
-                                   std::span<const AlignResult> results) const {
-  LaneScratch scratch;
-  return stats_for(seq_of, tasks, results, scratch);
-}
-
 BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
                                    std::span<const AlignTask> tasks,
                                    std::span<const AlignResult> results,
@@ -71,15 +57,6 @@ BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
   return stats_with(seq_of, tasks, results,
                     std::span<const int>(scratch.lanes), scratch.device_cells,
                     scratch.device_pairs);
-}
-
-BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
-                                   std::span<const AlignTask> tasks,
-                                   std::span<const AlignResult> results,
-                                   std::span<const int> lanes) const {
-  std::vector<std::uint64_t> device_cells;
-  std::vector<std::uint64_t> device_pairs;
-  return stats_with(seq_of, tasks, results, lanes, device_cells, device_pairs);
 }
 
 BatchStats BatchAligner::stats_with(

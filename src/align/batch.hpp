@@ -126,12 +126,6 @@ class BatchAligner {
     return align_pair(seq_of(task.q_id), seq_of(task.r_id), task,
                       config_.kind);
   }
-  /// Same, with an explicit kernel override.
-  [[nodiscard]] AlignResult align_one_task(const SeqAccessor& seq_of,
-                                           const AlignTask& task,
-                                           AlignKind kind) const {
-    return align_pair(seq_of(task.q_id), seq_of(task.r_id), task, kind);
-  }
 
   /// One pair through the kernel dispatch with an explicit kind, the single
   /// dispatch point of every batch path and every cascade tier: tier 1
@@ -142,32 +136,19 @@ class BatchAligner {
                                        const AlignTask& task,
                                        AlignKind kind) const;
 
-  /// Device-model accounting for a batch whose results are already known.
-  /// The overload without `lanes` reproduces align_batch's greedy lane
-  /// assignment; when the caller already holds the lanes (align_batch
-  /// itself, or a caller aligning + accounting the same task list), pass
-  /// them through to skip the redundant O(tasks × devices) pass.
-  [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
-                                     std::span<const AlignTask> tasks,
-                                     std::span<const AlignResult> results) const;
-  [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
-                                     std::span<const AlignTask> tasks,
-                                     std::span<const AlignResult> results,
-                                     std::span<const int> lanes) const;
-  /// Allocation-free accounting on a reusable scratch (re-entrant stage
-  /// path): assigns lanes into `scratch` and accumulates through its
-  /// per-device buffers. Identical numbers to the allocating overloads.
+  /// Device-model accounting for a batch whose results are already known,
+  /// on a reusable scratch (re-entrant stage path): assigns lanes into
+  /// `scratch` exactly as align_batch does and accumulates through its
+  /// per-device buffers.
   [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
                                      std::span<const AlignTask> tasks,
                                      std::span<const AlignResult> results,
                                      LaneScratch& scratch) const;
 
-  /// Deterministic device assignment: tasks go to the least-loaded device
-  /// by the DP-size proxy |q|*|r| (the ADEPT driver balances its per-GPU
-  /// batches; plain round-robin quantizes badly when batches are small).
-  [[nodiscard]] std::vector<int> assign_lanes(
-      const SeqAccessor& seq_of, std::span<const AlignTask> tasks) const;
-  /// Scratch variant: fills `scratch.lanes` reusing its capacity.
+  /// Deterministic device assignment into `scratch.lanes` (capacity
+  /// reused): tasks go to the least-loaded device by the DP-size proxy
+  /// |q|*|r| (ADEPT balances its per-GPU batches by DP size; plain
+  /// round-robin quantizes badly when batches are small).
   void assign_lanes(const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
                     LaneScratch& scratch) const;
 

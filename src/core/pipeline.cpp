@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "core/kmer_matrix.hpp"
 #include "core/load_balance.hpp"
@@ -11,7 +12,6 @@
 #include "exec/stream_pipeline.hpp"
 #include "exec/timeline.hpp"
 #include "io/fasta.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -32,34 +32,27 @@ struct BlockSlot {
   DistSpMat<CommonKmers> C;
   sparse::SpGemmStats spgemm;
   std::vector<sim::RankClock> frame;                    // per-rank charges
+  std::vector<std::vector<ScreenCandidate>> cands;      // per rank
   std::vector<std::vector<align::AlignTask>> tasks;     // per rank
-  std::vector<std::vector<ScreenCandidate>> cands;      // per rank (cascade)
   std::vector<align::CascadeStats> cascade;             // per rank
   std::vector<std::vector<io::SimilarityEdge>> edges;   // per rank
   std::vector<double> sparse_s, align_s;                // per rank, dilated
   std::vector<std::uint64_t> local_bytes;               // per rank
-  std::vector<align::LaneScratch> lane_scratch;         // per rank
-  align::AlignWorkspace ws;                             // flattened DP batch
-  std::vector<align::AlignTask> flat_tasks;
-  std::vector<std::size_t> rank_offset;
+  AlignScratch scratch;                                 // flattened DP batch
 
   void reset(int p) {
     const auto np = static_cast<std::size_t>(p);
     spgemm = {};
     frame.assign(np, sim::RankClock{});
-    if (tasks.size() != np) tasks.resize(np);
-    for (auto& t : tasks) t.clear();
     if (cands.size() != np) cands.resize(np);
     for (auto& c : cands) c.clear();
-    cascade.assign(np, align::CascadeStats{});
+    if (tasks.size() != np) tasks.resize(np);
+    for (auto& t : tasks) t.clear();
     if (edges.size() != np) edges.resize(np);
     for (auto& e : edges) e.clear();
     sparse_s.assign(np, 0.0);
     align_s.assign(np, 0.0);
     local_bytes.assign(np, 0);
-    if (lane_scratch.size() != np) lane_scratch.resize(np);
-    flat_tasks.clear();
-    rank_offset.assign(np + 1, 0);
   }
 };
 
@@ -68,7 +61,11 @@ struct BlockSlot {
 SimilaritySearch::SimilaritySearch(PastisConfig config,
                                    sim::MachineModel model, int nprocs,
                                    util::ThreadPool* pool)
-    : config_(config), model_(model), nprocs_(nprocs), pool_(pool) {}
+    : config_(config), model_(model), nprocs_(nprocs), pool_(pool) {
+  if (config_.pipeline_depth < 1) {
+    throw std::invalid_argument("SimilaritySearch: need pipeline_depth >= 1");
+  }
+}
 
 SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   util::Timer wall;
@@ -82,7 +79,7 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   st.nprocs = p;
   st.block_rows = cfg.block_rows;
   st.block_cols = cfg.block_cols;
-  const int depth = cfg.effective_pipeline_depth();
+  const int depth = cfg.pipeline_depth;
   st.pipeline_depth = depth;
   st.preblocking = depth >= 2;
 
@@ -191,7 +188,8 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   // strictly in block order — results and counters are therefore
   // bit-identical to the depth-1 serial oracle for any depth.
   const align::BatchAligner aligner = make_batch_aligner(cfg, model_);
-  auto seq_of = [&](std::uint32_t id) { return store.seq(id); };
+  const align::BatchAligner::SeqAccessor seq_of =
+      [&](std::uint32_t id) { return store.seq(id); };
 
   // Discovery-compute dilations: the blocked-SUMMA split penalty (§VI-A,
   // always active) and the overlapped CPU-sharing contention (§VI-C).
@@ -250,8 +248,7 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
       "screen", [&](std::size_t bi, std::size_t si) {
         BlockSlot& s = slots[si];
         const BlockInfo& blk = plan.blocks()[bi];
-        const bool cascading = cfg.cascade.any();
-        // Each rank extracts the alignment candidates its local block owns.
+        // Each rank stages the alignment candidates its local block owns.
         rt.spmd([&](int rank) {
           auto& clock = s.frame[static_cast<std::size_t>(rank)];
           const auto& local = s.C.local(rank);
@@ -264,7 +261,6 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
           clock.charge(Comp::kSparseOther,
                        model_.sparse_stream_time(local.bytes()) * ds);
 
-          auto& tasks = s.tasks[static_cast<std::size_t>(rank)];
           auto& cands = s.cands[static_cast<std::size_t>(rank)];
           local.for_each([&](Index li, Index lj, const CommonKmers& ck) {
             const Index i = grow0 + li;
@@ -273,10 +269,6 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
             if (!plan.should_align(blk, i, j)) return;
             // Canonical orientation (query = smaller id) keeps alignment
             // results identical across schemes and blockings.
-            if (!cascading) {
-              tasks.push_back(canonical_task(i, j, ck));
-              return;
-            }
             ScreenCandidate c;
             c.task = canonical_task(i, j, ck);
             c.count = ck.count;
@@ -285,58 +277,17 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
           });
           clock.overlap_nnz += local.nnz();
         });
-        if (!cascading) return;
 
-        // Tier passes over the staged candidates: each tier compacts every
-        // rank's list in place and runs as its own traced pass, so tier-k
-        // of this block overlaps tier-(k+1) of the previous block through
-        // the streaming executor's stage graph.
-        for (int tier = 0; tier < 2; ++tier) {
-          if (tier == 0 ? !cfg.cascade.tier0_enabled
-                        : !cfg.cascade.tier1_enabled) {
-            continue;
-          }
-          std::size_t in = 0;
-          for (const auto& v : s.cands) in += v.size();
-          obs::Span span(cfg.telemetry.tracer,
-                         tier == 0 ? "cascade.tier0" : "cascade.tier1");
-          rt.spmd([&](int rank) {
-            const auto ri = static_cast<std::size_t>(rank);
-            auto& v = s.cands[ri];
-            auto& cs = s.cascade[ri];
-            std::size_t w = 0;
-            for (auto& c : v) {
-              const std::string_view q = store.seq(c.task.q_id);
-              const std::string_view r = store.seq(c.task.r_id);
-              const bool keep =
-                  tier == 0
-                      ? align::tier0_keep(
-                            q, r, std::span<const align::Seed>(
-                                      c.seeds, static_cast<std::size_t>(
-                                                   c.n_seeds)),
-                            c.count, c.sketch_overlap, aligner, cfg.cascade,
-                            cs.tier0)
-                      : align::tier1_keep(q, r, c.task, aligner, cfg.cascade,
-                                          cs.tier1);
-              if (keep) v[w++] = c;
-            }
-            v.resize(w);
-          });
-          std::size_t out = 0;
-          for (const auto& v : s.cands) out += v.size();
-          span.arg("pairs_in", static_cast<double>(in));
-          span.arg("pairs_out", static_cast<double>(out));
-        }
+        s.cascade = screen_candidates(s.cands, seq_of, aligner, cfg.cascade,
+                                      pool_, s.tasks);
 
-        // Survivors become the block's alignment tasks; the screens' own
-        // modeled cost lands on the rank clocks (tier 0 beside the sparse
-        // extraction passes, tier 1 as device DP work) and on the block's
-        // sparse timeline slot — the screen stage is what overlaps the
-        // previous block's alignment.
-        rt.spmd([&](int rank) {
+        // The screens' modeled cost lands on the rank clocks (tier 0 beside
+        // the sparse extraction passes, tier 1 as device DP work) and on
+        // the block's sparse timeline slot — the screen stage is what
+        // overlaps the previous block's alignment.
+        rt.spmd_serial([&](int rank) {
           const auto ri = static_cast<std::size_t>(rank);
           auto& clock = s.frame[ri];
-          for (const auto& c : s.cands[ri]) s.tasks[ri].push_back(c.task);
           const auto [t0s, t1s] = modeled_screen_seconds(model_, s.cascade[ri]);
           if (t0s > 0.0) clock.charge(Comp::kSparseOther, t0s * ds);
           if (t1s > 0.0) clock.charge(Comp::kAlign, t1s * da);
@@ -347,52 +298,22 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   exec::Stage align_stage{
       "align", [&](std::size_t bi, std::size_t si) {
         BlockSlot& s = slots[si];
-        // Flattened DP execution: the kernels of ALL ranks run on the host
-        // pool (the per-rank device accounting is computed from each
-        // rank's own slice afterwards, so the flattening is invisible to
-        // the modeled timings — it only stops a skewed rank from idling
-        // host cores).
-        for (int r = 0; r < p; ++r) {
-          s.rank_offset[static_cast<std::size_t>(r) + 1] =
-              s.rank_offset[static_cast<std::size_t>(r)] +
-              s.tasks[static_cast<std::size_t>(r)].size();
-        }
-        s.flat_tasks.reserve(s.rank_offset.back());
-        for (const auto& v : s.tasks) {
-          s.flat_tasks.insert(s.flat_tasks.end(), v.begin(), v.end());
-        }
-        s.ws.results.assign(s.flat_tasks.size(), align::AlignResult{});
-        pool_->parallel_for(s.flat_tasks.size(), [&](std::size_t t) {
-          s.ws.results[t] = aligner.align_one_task(seq_of, s.flat_tasks[t]);
-        });
+        const std::vector<align::BatchStats> bstats = align_and_filter(
+            s.tasks, seq_of, aligner, cfg, pool_, s.scratch, s.edges);
 
-        // Per-rank filtering + device-model charging.
-        rt.spmd([&](int rank) {
+        // Device-model charging (with overlap contention dilation).
+        rt.spmd_serial([&](int rank) {
           const auto ri = static_cast<std::size_t>(rank);
           auto& clock = s.frame[ri];
-          const auto& tasks = s.tasks[ri];
-          const std::span<const align::AlignResult> results(
-              s.ws.results.data() + s.rank_offset[ri], tasks.size());
-
-          for (std::size_t t = 0; t < tasks.size(); ++t) {
-            if (auto edge = edge_if_similar(
-                    tasks[t], results[t], store.seq(tasks[t].q_id).size(),
-                    store.seq(tasks[t].r_id).size(), cfg)) {
-              s.edges[ri].push_back(*edge);
-              ++clock.similar_pairs;
-            }
-          }
-
-          // Charge the device model (with overlap contention dilation).
-          const align::BatchStats bstats =
-              aligner.stats_for(seq_of, tasks, results, s.lane_scratch[ri]);
-          const double kernel = balanced_kernel_seconds(model_, bstats.cells);
+          const std::size_t pairs = s.tasks[ri].size();
           const double align_s =
-              modeled_align_seconds(model_, bstats, tasks.size(), da);
+              modeled_align_seconds(model_, bstats[ri], pairs, da);
+          clock.similar_pairs += s.edges[ri].size();
           clock.charge(Comp::kAlign, align_s);
-          clock.align_kernel_seconds += kernel;
-          clock.align_cells += bstats.cells;
-          clock.pairs_aligned += tasks.size();
+          clock.align_kernel_seconds +=
+              balanced_kernel_seconds(model_, bstats[ri].cells);
+          clock.align_cells += bstats[ri].cells;
+          clock.pairs_aligned += pairs;
           s.align_s[ri] = align_s;
         });
 
@@ -400,12 +321,7 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         st.spgemm.merge(s.spgemm);
         st.candidates += s.C.nnz();
         rt.merge_frame(s.frame);
-        {
-          align::CascadeStats block_cascade;
-          for (const auto& cs : s.cascade) block_cascade.merge(cs);
-          st.cascade.merge(block_cascade);
-          add_cascade_counters(cfg.telemetry, block_cascade);
-        }
+        for (const auto& cs : s.cascade) st.cascade.merge(cs);
         for (int r = 0; r < p; ++r) {
           const auto ri = static_cast<std::size_t>(r);
           rank_edges[ri].insert(rank_edges[ri].end(), s.edges[ri].begin(),

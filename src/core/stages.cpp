@@ -1,12 +1,49 @@
 #include "core/stages.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "kmer/extract.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace pastis::core {
+
+namespace {
+
+/// fn(i) for i in [0, n) on `pool`, or serially when it is null.
+void for_each_index(util::ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+/// Adds one block/batch's cascade totals to the metrics registry:
+/// cascade.tier{0,1}.{pairs_in,pairs_out,rejects}_total plus the measured
+/// screen-cell totals. No-op without a metrics sink.
+void add_cascade_counters(const obs::Telemetry& telemetry,
+                          const align::CascadeStats& cs) {
+  if (telemetry.metrics == nullptr) return;
+  auto& m = *telemetry.metrics;
+  const align::TierStats* tiers[2] = {&cs.tier0, &cs.tier1};
+  for (int t = 0; t < 2; ++t) {
+    const std::string base = "cascade.tier" + std::to_string(t);
+    m.counter(base + ".pairs_in_total")
+        .add(static_cast<double>(tiers[t]->pairs_in));
+    m.counter(base + ".pairs_out_total")
+        .add(static_cast<double>(tiers[t]->pairs_out));
+    m.counter(base + ".rejects_total")
+        .add(static_cast<double>(tiers[t]->rejects));
+    m.counter(base + ".cells_total")
+        .add(static_cast<double>(tiers[t]->cells));
+  }
+}
+
+}  // namespace
 
 std::pair<std::uint64_t, std::uint64_t> extract_sequence_kmers(
     std::string_view seq, sparse::Index row, const kmer::Alphabet& alphabet,
@@ -65,22 +102,99 @@ std::optional<io::SimilarityEdge> edge_if_similar(
                             static_cast<float>(cov), result.score};
 }
 
-void add_cascade_counters(const obs::Telemetry& telemetry,
-                          const align::CascadeStats& cs) {
-  if (telemetry.metrics == nullptr) return;
-  auto& m = *telemetry.metrics;
-  const align::TierStats* tiers[2] = {&cs.tier0, &cs.tier1};
-  for (int t = 0; t < 2; ++t) {
-    const std::string base = "cascade.tier" + std::to_string(t);
-    m.counter(base + ".pairs_in_total")
-        .add(static_cast<double>(tiers[t]->pairs_in));
-    m.counter(base + ".pairs_out_total")
-        .add(static_cast<double>(tiers[t]->pairs_out));
-    m.counter(base + ".rejects_total")
-        .add(static_cast<double>(tiers[t]->rejects));
-    m.counter(base + ".cells_total")
-        .add(static_cast<double>(tiers[t]->cells));
+std::vector<align::CascadeStats> screen_candidates(
+    std::span<std::vector<ScreenCandidate>> rank_cands,
+    const align::BatchAligner::SeqAccessor& seq_of,
+    const align::BatchAligner& aligner, const align::CascadeOptions& opt,
+    util::ThreadPool* pool,
+    std::span<std::vector<align::AlignTask>> rank_tasks) {
+  const std::size_t np = rank_cands.size();
+  std::vector<align::CascadeStats> rank_cs(np);
+  const auto total_pairs = [&] {
+    std::size_t n = 0;
+    for (const auto& v : rank_cands) n += v.size();
+    return static_cast<double>(n);
+  };
+  for (int tier = 0; tier < 2; ++tier) {
+    if (!(tier == 0 ? opt.tier0_enabled : opt.tier1_enabled)) continue;
+    obs::Span span(aligner.config().telemetry.tracer,
+                   tier == 0 ? "cascade.tier0" : "cascade.tier1");
+    span.arg("pairs_in", total_pairs());
+    for_each_index(pool, np, [&](std::size_t ri) {
+      auto& v = rank_cands[ri];
+      auto& cs = rank_cs[ri];
+      std::size_t keep = 0;
+      for (const auto& c : v) {
+        const std::string_view q = seq_of(c.task.q_id);
+        const std::string_view r = seq_of(c.task.r_id);
+        const bool pass =
+            tier == 0
+                ? align::tier0_keep(
+                      q, r, {c.seeds, static_cast<std::size_t>(c.n_seeds)},
+                      c.count, c.sketch_overlap, aligner, opt, cs.tier0)
+                : align::tier1_keep(q, r, c.task, aligner, opt, cs.tier1);
+        if (pass) v[keep++] = c;
+      }
+      v.resize(keep);
+    });
+    span.arg("pairs_out", total_pairs());
   }
+  for (std::size_t ri = 0; ri < np; ++ri) {
+    auto& tasks = rank_tasks[ri];
+    tasks.reserve(tasks.size() + rank_cands[ri].size());
+    for (const auto& c : rank_cands[ri]) tasks.push_back(c.task);
+  }
+  if (opt.any()) {
+    align::CascadeStats total;
+    for (const auto& cs : rank_cs) total.merge(cs);
+    add_cascade_counters(aligner.config().telemetry, total);
+  }
+  return rank_cs;
+}
+
+std::vector<align::BatchStats> align_and_filter(
+    std::span<const std::vector<align::AlignTask>> rank_tasks,
+    const align::BatchAligner::SeqAccessor& seq_of,
+    const align::BatchAligner& aligner, const PastisConfig& cfg,
+    util::ThreadPool* pool, AlignScratch& scratch,
+    std::span<std::vector<io::SimilarityEdge>> rank_edges,
+    std::span<const char> dead) {
+  const std::size_t np = rank_tasks.size();
+  scratch.rank_offset.assign(np + 1, 0);
+  for (std::size_t ri = 0; ri < np; ++ri) {
+    scratch.rank_offset[ri + 1] =
+        scratch.rank_offset[ri] + rank_tasks[ri].size();
+  }
+  scratch.flat_tasks.clear();
+  scratch.flat_tasks.reserve(scratch.rank_offset.back());
+  for (const auto& v : rank_tasks) {
+    scratch.flat_tasks.insert(scratch.flat_tasks.end(), v.begin(), v.end());
+  }
+  scratch.results.assign(scratch.flat_tasks.size(), align::AlignResult{});
+  for_each_index(pool, scratch.flat_tasks.size(), [&](std::size_t t) {
+    scratch.results[t] = aligner.align_one_task(seq_of, scratch.flat_tasks[t]);
+  });
+
+  // Per-rank filter and device accounting from each rank's own slice, so
+  // the flattening is invisible to the modeled timings.
+  if (scratch.lanes.size() != np) scratch.lanes.resize(np);
+  std::vector<align::BatchStats> rank_stats(np);
+  for_each_index(pool, np, [&](std::size_t ri) {
+    if (!dead.empty() && dead[ri] != 0) return;
+    const auto& tasks = rank_tasks[ri];
+    const std::span<const align::AlignResult> results(
+        scratch.results.data() + scratch.rank_offset[ri], tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      if (auto edge = edge_if_similar(tasks[t], results[t],
+                                      seq_of(tasks[t].q_id).size(),
+                                      seq_of(tasks[t].r_id).size(), cfg)) {
+        rank_edges[ri].push_back(*edge);
+      }
+    }
+    rank_stats[ri] =
+        aligner.stats_for(seq_of, tasks, results, scratch.lanes[ri]);
+  });
+  return rank_stats;
 }
 
 std::pair<double, double> modeled_screen_seconds(

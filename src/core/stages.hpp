@@ -1,15 +1,23 @@
 // Reusable stages of the discovery → alignment → filter flow.
 //
-// Three consumers drive the same machinery: the many-against-many pipeline
-// (core/pipeline.cpp, paper Fig. 4), the query-serving engine
-// (index/query_engine.cpp, the §III annotation use case) and the
-// replicated-index baseline (baseline/replicated_index.cpp). The first two
-// wire these leaf helpers into executor nodes on the streaming blocked
-// executor (exec/stream_pipeline.hpp), each node reading/writing an
-// explicit per-slot state; the baseline calls them per replicated chunk.
-// Factoring the stage logic here keeps all consumers bit-identical by
-// construction — the canonical task orientation, the ANI/coverage filter
-// and the modeled device-time formula are written exactly once.
+// Two consumers run the flow end to end: the many-against-many pipeline
+// (core/pipeline.cpp, paper Fig. 4) and the query-serving engine
+// (index/query_engine.cpp, the §III annotation use case). Both stage every
+// extracted candidate as a ScreenCandidate and then call the same two
+// functions, which are the one place either of them drives the DP kernel:
+//
+//   screen_candidates  cascade tiers 0 and 1 over per-rank candidate lists
+//                      (a pass-through when no tier is enabled);
+//   align_and_filter   the flattened DP batch on the host pool, the
+//                      ANI/coverage filter and per-rank device accounting.
+//
+// Modeled charging stays with each caller, because the overlap dilations
+// and the distributed charging rules differ; the callers read the per-rank
+// CascadeStats / BatchStats these functions return. The replicated-index
+// baseline (baseline/replicated_index.cpp) uses the leaf helpers per chunk.
+// Writing the stage logic once keeps all consumers bit-identical by
+// construction — the canonical task orientation, the tier screens, the
+// ANI/coverage filter and the modeled device-time formula exist once.
 #pragma once
 
 #include <optional>
@@ -95,7 +103,7 @@ inline void keep_min_pos(KmerPos& acc, const KmerPos& v) {
   return 2;
 }
 
-/// One extracted candidate staged for the cascade screens. The {discover,
+/// One extracted candidate staged for screen_candidates. The {discover,
 /// screen, align} stage graphs (pipeline blocks, serving batches) keep
 /// per-slot vectors of these between the extraction pass and the tier
 /// passes, so each tier runs as its own traced pass and tier-k of item b
@@ -108,11 +116,43 @@ struct ScreenCandidate {
   int sketch_overlap = -1;        // minhash slot agreement; -1 = no sketch
 };
 
-/// Adds one block/batch's cascade totals to the metrics registry:
-/// cascade.tier{0,1}.{pairs_in,pairs_out,rejects}_total plus the measured
-/// screen-cell totals. No-op without a metrics sink.
-void add_cascade_counters(const obs::Telemetry& telemetry,
-                          const align::CascadeStats& cs);
+/// The screen stage over one block/batch. `rank_cands` holds each rank's
+/// staged candidates. Every enabled tier runs as one pass, traced as a
+/// `cascade.tier<t>` span on the aligner's tracer, that compacts each
+/// rank's list in place (ranks in parallel on `pool`, serially when it is
+/// null). The survivors' tasks are then appended, in order, to
+/// `rank_tasks`. Returns each rank's CascadeStats; with any tier enabled,
+/// their total is also added to the `cascade.tier{0,1}.*_total` counters.
+/// With no tier enabled every task passes through unchanged.
+[[nodiscard]] std::vector<align::CascadeStats> screen_candidates(
+    std::span<std::vector<ScreenCandidate>> rank_cands,
+    const align::BatchAligner::SeqAccessor& seq_of,
+    const align::BatchAligner& aligner, const align::CascadeOptions& opt,
+    util::ThreadPool* pool,
+    std::span<std::vector<align::AlignTask>> rank_tasks);
+
+/// Reusable buffers of align_and_filter for one executor slot; capacity is
+/// kept across the items the slot serves.
+struct AlignScratch {
+  std::vector<align::AlignTask> flat_tasks;
+  std::vector<std::size_t> rank_offset;
+  std::vector<align::AlignResult> results;
+  std::vector<align::LaneScratch> lanes;  // per rank
+};
+
+/// The align stage over one block/batch. Flattens every rank's tasks and
+/// aligns them on `pool` (serially when it is null), so a skewed rank does
+/// not idle host cores. Then, per rank, appends the pairs that pass the
+/// ANI/coverage filter to `rank_edges[r]` and returns the rank's device
+/// accounting (BatchAligner::stats_for). Ranks with `dead[r] != 0` get no
+/// edges and zero stats; an empty `dead` means every rank is alive.
+[[nodiscard]] std::vector<align::BatchStats> align_and_filter(
+    std::span<const std::vector<align::AlignTask>> rank_tasks,
+    const align::BatchAligner::SeqAccessor& seq_of,
+    const align::BatchAligner& aligner, const PastisConfig& cfg,
+    util::ThreadPool* pool, AlignScratch& scratch,
+    std::span<std::vector<io::SimilarityEdge>> rank_edges,
+    std::span<const char> dead = {});
 
 /// Modeled seconds of the cascade screens over one block/batch: tier 0 is a
 /// host-side streaming scan over its diagonal cells (charged like the other

@@ -38,15 +38,12 @@ struct QueryEngine::BatchSlot {
   std::uint64_t ordinal = 0;  // stream position; fixes the owner rank
   bool distributed = false;
   QueryBatchStats st;
-  std::vector<std::vector<AlignTask>> rank_tasks;  // per serving rank
-  /// Cascade staging (cfg.cascade.any() only): candidates per align-owner
-  /// rank, compacted in place by each tier's screen before the survivors
-  /// land in rank_tasks.
+  /// Candidates per align-owner rank, compacted in place by the cascade
+  /// screens before the survivors land in rank_tasks.
   std::vector<std::vector<core::ScreenCandidate>> rank_cands;
-  std::vector<AlignTask> flat_tasks;
-  std::vector<std::size_t> rank_offset;
-  align::AlignWorkspace ws;
-  std::vector<align::LaneScratch> lane_scratch;  // per serving rank
+  std::vector<std::vector<AlignTask>> rank_tasks;  // per serving rank
+  std::vector<std::vector<io::SimilarityEdge>> rank_hits;
+  core::AlignScratch scratch;
   std::vector<io::SimilarityEdge> hits;
   /// Distributed mode: the detached per-rank clock frame this batch
   /// charges while concurrent slots are in flight; the engine merges it
@@ -78,13 +75,12 @@ struct QueryEngine::BatchSlot {
     distributed = dist;
     st = {};
     st.n_queries = q.size();
-    if (rank_tasks.size() != np) rank_tasks.resize(np);
-    for (auto& t : rank_tasks) t.clear();
     if (rank_cands.size() != np) rank_cands.resize(np);
     for (auto& c : rank_cands) c.clear();
-    flat_tasks.clear();
-    rank_offset.assign(np + 1, 0);
-    if (lane_scratch.size() != np) lane_scratch.resize(np);
+    if (rank_tasks.size() != np) rank_tasks.resize(np);
+    for (auto& t : rank_tasks) t.clear();
+    if (rank_hits.size() != np) rank_hits.resize(np);
+    for (auto& h : rank_hits) h.clear();
     hits.clear();
     snap = {};
     fault_active = false;
@@ -130,6 +126,9 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
   }
   if (opt_.nprocs < 1) {
     throw std::invalid_argument("QueryEngine: need nprocs >= 1");
+  }
+  if (opt_.pipeline_depth < 1) {
+    throw std::invalid_argument("QueryEngine: need pipeline_depth >= 1");
   }
   cascade_sig_ = cfg_.cascade.fingerprint();
   next_query_id_ = total_refs();
@@ -408,8 +407,7 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   // only when the cascade asks for a sketch overlap AND the index carries a
   // v4 sketch table. Delta-segment references have no sketches, so their
   // candidates skip the sketch test (sketch_overlap stays -1).
-  const bool cascading = cfg_.cascade.any();
-  const bool sketching = cascading && cfg_.cascade.tier0_enabled &&
+  const bool sketching = cfg_.cascade.tier0_enabled &&
                          cfg_.cascade.tier0_min_sketch_overlap > 0 &&
                          index_->sketch_len() > 0;
   std::vector<std::vector<std::uint64_t>> query_sketches;
@@ -714,10 +712,6 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
       align_owner = slot.snap.next_alive(align_owner);
       if (align_owner < 0) return;  // every rank dead: nothing aligns
     }
-    if (!cascading) {
-      slot.rank_tasks[static_cast<std::size_t>(align_owner)].push_back(task);
-      return;
-    }
     // Stage the candidate for the tier screens. The task's query side is
     // always the reference (rj < n_refs <= q_global), so both orientation
     // minima rewrite to (reference pos, query pos): first_rq is already in
@@ -740,76 +734,38 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   });
 
   // ---- tier screens (the cascade's screen work, ahead of batch alignment) --
-  // Each tier compacts every align-owner rank's candidate list in place
-  // under its own measured span; survivors become that rank's alignment
-  // tasks. The screens run on the host pool but their MODELED cost is
-  // charged per owner rank — tier 0 as a host stream over the scanned
-  // diagonal cells, tier 1 as probe DP on the device — folded into the
-  // discovery-side timeline (so with depth >= 2 the screen of batch b+1
-  // overlaps batch b's alignment, like the rest of discovery).
-  if (cascading) {
-    const auto np = static_cast<std::size_t>(p);
-    std::vector<align::CascadeStats> rank_cs(np);
-    auto seq_of = [&](std::uint32_t id) -> std::string_view {
-      return id < static_cast<std::uint32_t>(n_refs)
-                 ? ref_seq(static_cast<Index>(id))
-                 : queries[id - batch_base];
-    };
-    for (int tier = 0; tier < 2; ++tier) {
-      if (tier == 0 && !cfg_.cascade.tier0_enabled) continue;
-      if (tier == 1 && !cfg_.cascade.tier1_enabled) continue;
-      std::size_t pairs_in = 0;
-      for (const auto& v : slot.rank_cands) pairs_in += v.size();
-      obs::Span span(cfg_.telemetry.tracer,
-                     tier == 0 ? "cascade.tier0" : "cascade.tier1");
-      par_for(np, [&](std::size_t ri) {
-        auto& v = slot.rank_cands[ri];
-        auto& cs = rank_cs[ri];
-        std::size_t keep = 0;
-        for (const auto& c : v) {
-          const std::string_view q = seq_of(c.task.q_id);
-          const std::string_view r = seq_of(c.task.r_id);
-          const bool pass =
-              tier == 0
-                  ? align::tier0_keep(
-                        q, r,
-                        {c.seeds, static_cast<std::size_t>(c.n_seeds)},
-                        c.count, c.sketch_overlap, aligner_, cfg_.cascade,
-                        cs.tier0)
-                  : align::tier1_keep(q, r, c.task, aligner_, cfg_.cascade,
-                                      cs.tier1);
-          if (pass) v[keep++] = c;
-        }
-        v.resize(keep);
-      });
-      std::size_t pairs_out = 0;
-      for (const auto& v : slot.rank_cands) pairs_out += v.size();
-      span.arg("pairs_in", static_cast<double>(pairs_in));
-      span.arg("pairs_out", static_cast<double>(pairs_out));
+  // Survivors become each align-owner rank's alignment tasks. The screens
+  // run on the host pool but their MODELED cost is charged per owner rank —
+  // tier 0 as a host stream over the scanned diagonal cells, tier 1 as
+  // probe DP on the device — folded into the discovery-side timeline (so
+  // with depth >= 2 the screen of batch b+1 overlaps batch b's alignment,
+  // like the rest of discovery).
+  const std::vector<align::CascadeStats> rank_cs = core::screen_candidates(
+      slot.rank_cands, batch_seq_of(slot), aligner_, cfg_.cascade, pool_,
+      slot.rank_tasks);
+  for (std::size_t ri = 0; ri < rank_cs.size(); ++ri) {
+    st.cascade.merge(rank_cs[ri]);
+    const auto [t0, t1] = core::modeled_screen_seconds(model_, rank_cs[ri]);
+    const double ts = t0 + t1;
+    if (ts <= 0.0) continue;
+    st.t_screen = std::max(st.t_screen, ts);
+    if (slot.distributed) {
+      if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
+      slot.frame[ri].charge(sim::Comp::kSparseOther, t0);
+      slot.frame[ri].charge(sim::Comp::kAlign, t1);
+      st.rank_sparse_s[ri] += ts;
+      st.t_sparse = std::max(st.t_sparse, st.rank_sparse_s[ri]);
     }
-    for (std::size_t ri = 0; ri < np; ++ri) {
-      auto& v = slot.rank_cands[ri];
-      slot.rank_tasks[ri].reserve(v.size());
-      for (const auto& c : v) slot.rank_tasks[ri].push_back(c.task);
-      st.cascade.merge(rank_cs[ri]);
-      // Modeled per-owner-rank screen cost, folded into the discovery side.
-      const auto [t0, t1] = core::modeled_screen_seconds(model_, rank_cs[ri]);
-      const double ts = t0 + t1;
-      if (ts <= 0.0) continue;
-      st.t_screen = std::max(st.t_screen, ts);
-      if (slot.distributed) {
-        if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
-        slot.frame[ri].charge(sim::Comp::kSparseOther, t0);
-        slot.frame[ri].charge(sim::Comp::kAlign, t1);
-        st.rank_sparse_s[ri] += ts;
-        st.t_sparse = std::max(st.t_sparse, st.rank_sparse_s[ri]);
-      }
-    }
-    if (!slot.distributed) st.t_sparse += st.t_screen;
-    // Tier survivor counters in stream order (the discover stage is
-    // serial), for both search_batch and serve.
-    core::add_cascade_counters(cfg_.telemetry, st.cascade);
   }
+  if (!slot.distributed) st.t_sparse += st.t_screen;
+}
+
+align::BatchAligner::SeqAccessor QueryEngine::batch_seq_of(
+    const BatchSlot& slot) const {
+  const Index n_refs = total_refs();
+  return [this, &slot, n_refs](std::uint32_t id) -> std::string_view {
+    return id < n_refs ? ref_seq(id) : slot.queries[id - slot.batch_base];
+  };
 }
 
 void QueryEngine::align_batch(BatchSlot& slot) const {
@@ -818,65 +774,33 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
   QueryBatchStats& st = slot.st;
   if (slot.queries.empty() || n_refs == 0) return;
 
-  // ---- alignment (flattened onto the host pool, per-rank accounting) -------
-  auto seq_of = [&](std::uint32_t id) -> std::string_view {
-    return id < n_refs ? ref_seq(id) : slot.queries[id - slot.batch_base];
-  };
-  for (int r = 0; r < p; ++r) {
-    slot.rank_offset[static_cast<std::size_t>(r) + 1] =
-        slot.rank_offset[static_cast<std::size_t>(r)] +
-        slot.rank_tasks[static_cast<std::size_t>(r)].size();
-  }
-  slot.flat_tasks.reserve(slot.rank_offset.back());
-  for (const auto& v : slot.rank_tasks) {
-    slot.flat_tasks.insert(slot.flat_tasks.end(), v.begin(), v.end());
-  }
-  st.aligned_pairs = slot.flat_tasks.size();
-
-  slot.ws.results.assign(slot.flat_tasks.size(), AlignResult{});
-  auto align_one = [&](std::size_t t) {
-    slot.ws.results[t] = aligner_.align_one_task(seq_of, slot.flat_tasks[t]);
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(slot.flat_tasks.size(), align_one);
-  } else {
-    for (std::size_t t = 0; t < slot.flat_tasks.size(); ++t) align_one(t);
-  }
-
-  // ---- filter + per-rank device accounting ---------------------------------
+  // ---- alignment, filter + per-rank device accounting ----------------------
+  // A dead rank's tasks went to its cyclic successor, so it has no tasks,
+  // no hits and zero stats; align_and_filter skips it so the lane metrics
+  // see no empty samples from it.
+  const std::vector<align::BatchStats> rank_stats = core::align_and_filter(
+      slot.rank_tasks, batch_seq_of(slot), aligner_, cfg_, pool_,
+      slot.scratch, slot.rank_hits, slot.snap.dead);
   auto& hits = slot.hits;
   for (int r = 0; r < p; ++r) {
-    if (slot.fault_active &&
-        slot.snap.dead[static_cast<std::size_t>(r)] != 0) {
-      continue;  // frozen clock; its tasks went to the cyclic successor
-    }
-    const auto& tasks = slot.rank_tasks[static_cast<std::size_t>(r)];
-    const std::span<const AlignResult> results(
-        slot.ws.results.data() + slot.rank_offset[static_cast<std::size_t>(r)],
-        tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (auto edge = core::edge_if_similar(tasks[t], results[t],
-                                            seq_of(tasks[t].q_id).size(),
-                                            seq_of(tasks[t].r_id).size(), cfg_)) {
-        hits.push_back(*edge);
-      }
-    }
-    const align::BatchStats bstats = aligner_.stats_for(
-        seq_of, tasks, results, slot.lane_scratch[static_cast<std::size_t>(r)]);
-    const double t_r =
-        core::modeled_align_seconds(model_, bstats, tasks.size(), 1.0);
+    const auto ri = static_cast<std::size_t>(r);
+    const std::size_t pairs = slot.rank_tasks[ri].size();
+    const align::BatchStats& bstats = rank_stats[ri];
+    hits.insert(hits.end(), slot.rank_hits[ri].begin(),
+                slot.rank_hits[ri].end());
+    st.aligned_pairs += pairs;
+    const double t_r = core::modeled_align_seconds(model_, bstats, pairs, 1.0);
     st.t_align = std::max(st.t_align, t_r);
     if (slot.distributed) {
       // Rank r owns these references' alignments: its device seconds, its
       // task+result workspace, its counters — per rank, for the ledger
       // and the per-rank timeline.
-      const auto ri = static_cast<std::size_t>(r);
       st.rank_align_s[ri] = t_r;
       st.rank_workspace_bytes[ri] +=
-          tasks.size() * (sizeof(AlignTask) + sizeof(AlignResult));
+          pairs * (sizeof(AlignTask) + sizeof(AlignResult));
       auto& clock = slot.frame[ri];
       clock.charge(sim::Comp::kAlign, t_r);
-      clock.pairs_aligned += tasks.size();
+      clock.pairs_aligned += pairs;
       clock.align_cells += bstats.cells;
       clock.align_kernel_seconds += bstats.kernel_seconds;
     }
@@ -1030,7 +954,7 @@ QueryEngine::Result QueryEngine::serve(
   const int p = serving_ranks();
   st.nprocs = p;
   st.n_shards = index_->n_shards();
-  const int depth = opt_.effective_pipeline_depth();
+  const int depth = opt_.pipeline_depth;
   st.pipeline_depth = depth;
   st.preblocking = depth >= 2;
   st.t_index_build = index_->modeled_build_seconds(model_, p);

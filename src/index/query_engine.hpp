@@ -207,14 +207,11 @@ class QueryEngine {
     /// Keep only the best `top_k` hits per query by (score desc, ref asc);
     /// 0 keeps all hits (the concatenated-equivalence mode).
     std::uint32_t top_k = 0;
-    /// Overlap batch b+1's SpGEMM with batch b's alignment (§VI-C).
-    /// Legacy alias for `pipeline_depth`: with the depth left at 0, on
-    /// selects depth 2 and off the serial depth 1.
-    bool preblocking = true;
     /// Streaming-executor depth for serve(): maximum query batches in
-    /// flight through discover → align. 0 defers to `preblocking`; hits
-    /// are bit-identical for any depth.
-    int pipeline_depth = 0;
+    /// flight through discover → align. The default 2 overlaps batch b+1's
+    /// SpGEMM with batch b's alignment (§VI-C); 1 is the serial loop. Hits
+    /// are bit-identical for any depth; the constructor rejects < 1.
+    int pipeline_depth = 2;
 
     // --- rank-resident distributed serving (PastisConfig knobs:
     // grid_side_serving / shard_replication / rank_memory_budget_bytes) ------
@@ -248,11 +245,6 @@ class QueryEngine {
     /// In grid mode the cache's resident bytes are charged to the rank
     /// ledger (cache shard k lives on rank k mod nprocs).
     serve::ResultCache* result_cache = nullptr;
-
-    [[nodiscard]] int effective_pipeline_depth() const {
-      if (pipeline_depth > 0) return pipeline_depth;
-      return preblocking ? 2 : 1;
-    }
   };
 
   /// The engine serves `cfg` against `index`; the discovery parameters of
@@ -378,6 +370,9 @@ class QueryEngine {
   /// property that makes hits depth- and schedule-invariant.
   void discover_batch(BatchSlot& slot) const;
   void align_batch(BatchSlot& slot) const;
+  /// Residues by global id for one batch: references, then its queries.
+  [[nodiscard]] align::BatchAligner::SeqAccessor batch_seq_of(
+      const BatchSlot& slot) const;
   /// Folds a retired batch's clock frame + workspace into the runtime
   /// ledger (distributed mode; called in batch order).
   void retire_distributed(BatchSlot& slot);

@@ -192,7 +192,7 @@ CompactionStats DeltaIndex::compact(const sim::MachineModel& model,
       }};
 
   exec::StreamOptions sopt;
-  sopt.depth = cfg_.effective_pipeline_depth();
+  sopt.depth = cfg_.pipeline_depth;
   sopt.memory_budget_bytes = cfg_.exec_memory_budget_bytes;
   sopt.pool = pool;
   sopt.telemetry = cfg_.telemetry;

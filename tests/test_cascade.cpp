@@ -1,12 +1,15 @@
 // Sensitivity-cascade tests: the tier-0 ungapped diagonal extension unit
 // behaviour (empty seed lists, clamping at sequence edges, orientation
-// parity), the table-driven kernel dispatch, bit-identity of the disabled
-// and exact-preset cascades across pool sizes, pipeline depths and serving
-// grid sides, the fast preset's subset property, and the ResultCache's
+// parity), the shared screen stage (core::screen_candidates against the
+// leaf tier screens), the stage metrics against the returned stats, the
+// table-driven kernel dispatch, bit-identity of the disabled and
+// exact-preset cascades across pool sizes, pipeline depths and serving grid
+// sides, the fast preset's subset property, and the ResultCache's
 // cascade-signature keying (warm-cache-then-retune must recompute, never
 // replay).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "index/index_io.hpp"
 #include "index/kmer_index.hpp"
 #include "index/query_engine.hpp"
+#include "obs/metrics.hpp"
 #include "serve/result_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -88,6 +92,42 @@ std::set<std::pair<std::uint32_t, std::uint32_t>> edge_set(
   std::set<std::pair<std::uint32_t, std::uint32_t>> s;
   for (const auto& e : edges) s.insert({e.seq_a, e.seq_b});
   return s;
+}
+
+/// Every pair (i < j) of `seqs` sharing a 3-mer, staged as the pipeline
+/// stages it: seeded at the first and last shared 3-mer, with the count of
+/// shared 3-mer occurrences. Short k-mers make chance candidates, so the
+/// screens have both homologs to keep and noise to reject. Dealt
+/// round-robin over `ranks` lists.
+std::vector<std::vector<pc::ScreenCandidate>> staged_candidates(
+    const std::vector<std::string>& seqs, std::size_t ranks) {
+  constexpr std::size_t k = 3;
+  std::vector<std::vector<pc::ScreenCandidate>> out(ranks);
+  std::size_t dealt = 0;
+  for (std::uint32_t i = 0; i < seqs.size(); ++i) {
+    std::map<std::string_view, std::uint32_t> first_pos;
+    const std::string_view q = seqs[i];
+    for (std::uint32_t a = 0; a + k <= q.size(); ++a) {
+      first_pos.emplace(q.substr(a, k), a);
+    }
+    for (std::uint32_t j = i + 1; j < seqs.size(); ++j) {
+      const std::string_view r = seqs[j];
+      pc::ScreenCandidate c;
+      for (std::uint32_t b = 0; b + k <= r.size(); ++b) {
+        const auto it = first_pos.find(r.substr(b, k));
+        if (it == first_pos.end()) continue;
+        const pa::Seed seed{it->second, b};
+        if (c.count == 0) c.seeds[0] = seed;
+        c.seeds[1] = seed;
+        ++c.count;
+      }
+      if (c.count == 0) continue;
+      c.n_seeds = c.count > 1 ? 2 : 1;
+      c.task = {i, j, c.seeds[0].q, c.seeds[0].r};
+      out[dealt++ % ranks].push_back(c);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -188,6 +228,182 @@ TEST(Cascade, FingerprintSeparatesPresets) {
   auto tweaked = fast;
   tweaked.tier1_min_score += 1;
   EXPECT_NE(tweaked.fingerprint(), fast.fingerprint());
+}
+
+// ---- the shared screen stage ------------------------------------------------
+
+TEST(ScreenCandidates, NoTierEnabledPassesEveryTaskThroughInOrder) {
+  const auto data = test_dataset(40, 9);
+  pc::PastisConfig cfg;
+  const auto aligner = pc::make_batch_aligner(cfg, pastis::sim::MachineModel{});
+  const pa::BatchAligner::SeqAccessor seq_of =
+      [&](std::uint32_t id) -> std::string_view { return data.seqs[id]; };
+  auto cands = staged_candidates(data.seqs, 3);
+  const auto staged = cands;
+  ASSERT_GT(staged[0].size(), 0u);
+
+  std::vector<std::vector<pa::AlignTask>> tasks(3);
+  tasks[1].push_back({7, 8, 0, 0});  // survivors append after existing tasks
+  const auto cs = pc::screen_candidates(cands, seq_of, aligner, cfg.cascade,
+                                        nullptr, tasks);
+  ASSERT_EQ(cs.size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(cs[r].tier0.pairs_in, 0u);
+    EXPECT_EQ(cs[r].tier1.pairs_in, 0u);
+    const std::size_t skip = r == 1 ? 1 : 0;
+    ASSERT_EQ(tasks[r].size(), skip + staged[r].size());
+    for (std::size_t t = 0; t < staged[r].size(); ++t) {
+      EXPECT_EQ(tasks[r][skip + t].q_id, staged[r][t].task.q_id);
+      EXPECT_EQ(tasks[r][skip + t].r_id, staged[r][t].task.r_id);
+      EXPECT_EQ(tasks[r][skip + t].seed_q, staged[r][t].task.seed_q);
+      EXPECT_EQ(tasks[r][skip + t].seed_r, staged[r][t].task.seed_r);
+    }
+  }
+}
+
+TEST(ScreenCandidates, TiersKeepExactlyWhatTheLeafScreensKeep) {
+  const auto data = test_dataset(40, 9);
+  pc::PastisConfig cfg;
+  const auto aligner = pc::make_batch_aligner(cfg, pastis::sim::MachineModel{});
+  const pa::BatchAligner::SeqAccessor seq_of =
+      [&](std::uint32_t id) -> std::string_view { return data.seqs[id]; };
+  const auto staged = staged_candidates(data.seqs, 3);
+
+  pa::CascadeOptions tier0_only = pa::CascadeOptions::fast();
+  tier0_only.tier1_enabled = false;
+  pa::CascadeOptions tier1_only = pa::CascadeOptions::fast();
+  tier1_only.tier0_enabled = false;
+  pastis::util::ThreadPool pool(3);
+  for (const auto& opt :
+       {pa::CascadeOptions::fast(), tier0_only, tier1_only}) {
+    // Oracle: the leaf screens applied one candidate at a time.
+    std::vector<std::vector<pa::AlignTask>> want(3);
+    std::vector<pa::CascadeStats> want_cs(3);
+    std::uint64_t rejects = 0, kept = 0;
+    for (std::size_t r = 0; r < 3; ++r) {
+      std::vector<pc::ScreenCandidate> v = staged[r];
+      if (opt.tier0_enabled) {
+        std::vector<pc::ScreenCandidate> next;
+        for (const auto& c : v) {
+          if (pa::tier0_keep(data.seqs[c.task.q_id], data.seqs[c.task.r_id],
+                             {c.seeds, static_cast<std::size_t>(c.n_seeds)},
+                             c.count, c.sketch_overlap, aligner, opt,
+                             want_cs[r].tier0)) {
+            next.push_back(c);
+          }
+        }
+        v = std::move(next);
+      }
+      if (opt.tier1_enabled) {
+        std::vector<pc::ScreenCandidate> next;
+        for (const auto& c : v) {
+          if (pa::tier1_keep(data.seqs[c.task.q_id], data.seqs[c.task.r_id],
+                             c.task, aligner, opt, want_cs[r].tier1)) {
+            next.push_back(c);
+          }
+        }
+        v = std::move(next);
+      }
+      for (const auto& c : v) want[r].push_back(c.task);
+      rejects += want_cs[r].tier0.rejects + want_cs[r].tier1.rejects;
+      kept += v.size();
+    }
+    EXPECT_GT(rejects, 0u) << "fingerprint " << opt.fingerprint();
+    EXPECT_GT(kept, 0u) << "fingerprint " << opt.fingerprint();
+
+    for (pastis::util::ThreadPool* p : {static_cast<pastis::util::ThreadPool*>(
+                                            nullptr),
+                                        &pool}) {
+      auto cands = staged;
+      std::vector<std::vector<pa::AlignTask>> got(3);
+      const auto cs =
+          pc::screen_candidates(cands, seq_of, aligner, opt, p, got);
+      ASSERT_EQ(cs.size(), 3u);
+      for (std::size_t r = 0; r < 3; ++r) {
+        ASSERT_EQ(got[r].size(), want[r].size()) << "rank " << r;
+        for (std::size_t t = 0; t < got[r].size(); ++t) {
+          EXPECT_EQ(got[r][t].q_id, want[r][t].q_id);
+          EXPECT_EQ(got[r][t].r_id, want[r][t].r_id);
+        }
+        const pa::TierStats* g[2] = {&cs[r].tier0, &cs[r].tier1};
+        const pa::TierStats* w[2] = {&want_cs[r].tier0, &want_cs[r].tier1};
+        for (int t = 0; t < 2; ++t) {
+          EXPECT_EQ(g[t]->pairs_in, w[t]->pairs_in) << "tier " << t;
+          EXPECT_EQ(g[t]->pairs_out, w[t]->pairs_out) << "tier " << t;
+          EXPECT_EQ(g[t]->rejects, w[t]->rejects) << "tier " << t;
+          EXPECT_EQ(g[t]->cells, w[t]->cells) << "tier " << t;
+        }
+      }
+    }
+  }
+}
+
+// ---- stage metrics agree with the returned stats -----------------------------
+
+namespace {
+
+void expect_stage_metrics(const pastis::obs::MetricsSnapshot& snap,
+                          const pa::CascadeStats& cs,
+                          std::uint64_t aligned_pairs) {
+  const pa::TierStats* tiers[2] = {&cs.tier0, &cs.tier1};
+  for (int t = 0; t < 2; ++t) {
+    const std::string base = "cascade.tier" + std::to_string(t);
+    EXPECT_EQ(snap.counters.at(base + ".pairs_in_total"),
+              static_cast<double>(tiers[t]->pairs_in));
+    EXPECT_EQ(snap.counters.at(base + ".pairs_out_total"),
+              static_cast<double>(tiers[t]->pairs_out));
+    EXPECT_EQ(snap.counters.at(base + ".rejects_total"),
+              static_cast<double>(tiers[t]->rejects));
+  }
+  EXPECT_EQ(snap.counters.at("align.pairs_total"),
+            static_cast<double>(aligned_pairs));
+}
+
+}  // namespace
+
+TEST(StageMetrics, PipelineAndEngineCountersMatchTheirStats) {
+  const auto data = test_dataset();
+  {
+    pastis::obs::MetricsRegistry reg;
+    pc::PastisConfig cfg;
+    cfg.block_rows = cfg.block_cols = 2;
+    cfg.pipeline_depth = 2;
+    cfg.cascade = pa::CascadeOptions::fast();
+    cfg.telemetry.metrics = &reg;
+    pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, 4);
+    const auto got = search.run(data.seqs);
+    ASSERT_GT(got.stats.cascade.tier0.rejects + got.stats.cascade.tier1.rejects,
+              0u);
+    expect_stage_metrics(reg.snapshot(), got.stats.cascade,
+                         got.stats.aligned_pairs);
+  }
+  {
+    pastis::obs::MetricsRegistry reg;
+    pc::PastisConfig cfg;
+    cfg.cascade = pa::CascadeOptions::fast();
+    const auto idx = pidx::KmerIndex::build(data.seqs, cfg, 4);
+    cfg.telemetry.metrics = &reg;
+    pidx::QueryEngine::Options opt;
+    opt.nprocs = 3;
+    pidx::QueryEngine engine(idx, cfg, pastis::sim::MachineModel{}, opt);
+    const auto got =
+        engine.serve(split_batches(make_queries(data.seqs, 40, 11), 4));
+    ASSERT_GT(got.stats.aligned_pairs, 0u);
+    expect_stage_metrics(reg.snapshot(), got.stats.cascade,
+                         got.stats.aligned_pairs);
+  }
+  {
+    // A disabled cascade emits no cascade.* names at all.
+    pastis::obs::MetricsRegistry reg;
+    pc::PastisConfig cfg;
+    cfg.telemetry.metrics = &reg;
+    pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, 4);
+    const auto got = search.run(data.seqs);
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.count("cascade.tier0.pairs_in_total"), 0u);
+    EXPECT_EQ(snap.counters.at("align.pairs_total"),
+              static_cast<double>(got.stats.aligned_pairs));
+  }
 }
 
 // ---- table-driven kernel dispatch (satellite: one dispatch path) -----------

@@ -63,7 +63,7 @@ TEST_P(DeterminismSweep, GraphIdenticalToSerialReference) {
   cfg.block_rows = c.br;
   cfg.block_cols = c.bc;
   cfg.load_balance = c.scheme;
-  cfg.preblocking = c.preblocking;
+  cfg.pipeline_depth = c.preblocking ? 2 : 1;
   cfg.spgemm_kernel = c.kernel;
   pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, c.p);
   const auto result = search.run(shared_dataset());

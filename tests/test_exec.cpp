@@ -10,6 +10,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/pipeline.hpp"
 #include "exec/stream_pipeline.hpp"
@@ -310,26 +311,34 @@ TEST(ExecPipeline, DepthBlockingThreadInvariance) {
   }
 }
 
-TEST(ExecPipeline, LegacyPreblockingIsExactlyDepth2) {
+TEST(ExecPipeline, DefaultConfigRunsAtDepth1) {
   const auto data = overlap_dataset(300, 23);
   const auto model = pastis::sim::MachineModel::summit_scaled(1.1e9, 3.3e4);
 
   pc::PastisConfig cfg;
   cfg.block_rows = cfg.block_cols = 3;
-  cfg.preblocking = true;  // legacy alias
-  pc::SimilaritySearch legacy(cfg, model, 4);
-  const auto with_alias = legacy.run(data.seqs);
-  EXPECT_EQ(with_alias.stats.pipeline_depth, 2);
-  EXPECT_TRUE(with_alias.stats.preblocking);
+  pc::SimilaritySearch default_search(cfg, model, 4);
+  const auto by_default = default_search.run(data.seqs);
+  EXPECT_EQ(by_default.stats.pipeline_depth, 1);
+  EXPECT_FALSE(by_default.stats.preblocking);
 
-  cfg.preblocking = false;
-  cfg.pipeline_depth = 2;
+  cfg.pipeline_depth = 1;
   pc::SimilaritySearch explicit_depth(cfg, model, 4);
   const auto with_depth = explicit_depth.run(data.seqs);
 
-  EXPECT_EQ(with_alias.edges, with_depth.edges);
-  EXPECT_EQ(with_alias.stats.rank_loop_s, with_depth.stats.rank_loop_s);
-  EXPECT_EQ(with_alias.stats.t_blocks, with_depth.stats.t_blocks);
+  EXPECT_EQ(by_default.edges, with_depth.edges);
+  EXPECT_EQ(by_default.stats.rank_loop_s, with_depth.stats.rank_loop_s);
+  EXPECT_EQ(by_default.stats.t_blocks, with_depth.stats.t_blocks);
+}
+
+TEST(ExecPipeline, RejectsDepthBelowOne) {
+  for (int depth : {0, -1}) {
+    pc::PastisConfig cfg;
+    cfg.pipeline_depth = depth;
+    EXPECT_THROW(pc::SimilaritySearch(cfg, pastis::sim::MachineModel{}, 4),
+                 std::invalid_argument)
+        << "depth=" << depth;
+  }
 }
 
 TEST(ExecPipeline, DeeperPipelinesShortenTheModeledBlockLoop) {
@@ -443,7 +452,7 @@ TEST(ExecQueryEngine, DepthShardThreadInvariance) {
   delete oracle_hits;
 }
 
-TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
+TEST(ExecQueryEngine, DefaultOptionsServeAtDepth2) {
   const auto refs = overlap_dataset(200, 59).seqs;
   std::vector<std::vector<std::string>> batches(
       4, std::vector<std::string>(refs.begin(), refs.begin() + 20));
@@ -454,17 +463,16 @@ TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
 
   pi::QueryEngine::Options opt;
   opt.nprocs = 4;
-  opt.preblocking = true;
-  pi::QueryEngine alias_engine(index, cfg, model, opt);
-  const auto alias = alias_engine.serve(batches);
-  EXPECT_EQ(alias.stats.pipeline_depth, 2);
+  pi::QueryEngine default_engine(index, cfg, model, opt);
+  const auto by_default = default_engine.serve(batches);
+  EXPECT_EQ(by_default.stats.pipeline_depth, 2);
+  EXPECT_TRUE(by_default.stats.preblocking);
 
-  opt.preblocking = false;
   opt.pipeline_depth = 2;
   pi::QueryEngine depth_engine(index, cfg, model, opt);
   const auto depth2 = depth_engine.serve(batches);
-  EXPECT_EQ(alias.hits, depth2.hits);
-  EXPECT_EQ(alias.stats.t_serve, depth2.stats.t_serve);
+  EXPECT_EQ(by_default.hits, depth2.hits);
+  EXPECT_EQ(by_default.stats.t_serve, depth2.stats.t_serve);
 
   opt.pipeline_depth = 1;
   pi::QueryEngine serial_engine(index, cfg, model, opt);
@@ -474,5 +482,18 @@ TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
   // eat the hidden time (the §VI-C regime; same bound as test_index).
   EXPECT_LT(depth2.stats.t_serve,
             serial.stats.t_serve * model.preblock_sparse_dilation());
+}
+
+TEST(ExecQueryEngine, RejectsDepthBelowOne) {
+  const auto refs = overlap_dataset(40, 61).seqs;
+  pc::PastisConfig cfg;
+  const auto index = pi::KmerIndex::build(refs, cfg, 2);
+  for (int depth : {0, -1}) {
+    pi::QueryEngine::Options opt;
+    opt.pipeline_depth = depth;
+    EXPECT_THROW(pi::QueryEngine(index, cfg, pastis::sim::MachineModel{}, opt),
+                 std::invalid_argument)
+        << "depth=" << depth;
+  }
 }
 
