@@ -1,6 +1,7 @@
 // google-benchmark microbenches for the two leaf kernels the paper's
 // performance rests on: batch Smith-Waterman (the ADEPT stand-in) and
-// local semiring SpGEMM. Reports real CUPS / products-per-second of this
+// local semiring SpGEMM, plus the setup stage's k-mer kernels (extraction,
+// substitute k-mers, the tile transpose). Reports real CUPS / products-per-second of this
 // host, which is useful when re-calibrating sim/machine_model.hpp.
 #include <benchmark/benchmark.h>
 
@@ -180,6 +181,49 @@ void BM_KmerExtraction(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_KmerExtraction);
+
+void BM_NearestKmers(benchmark::State& state) {
+  // Substitute k-mers as the sensitive pipeline asks for them: protein
+  // alphabet, k = 6, the m = 8 nearest within the default loss cap.
+  const auto seqs = random_proteins(1, 2000, 52);
+  const core::PastisConfig cfg;
+  const kmer::Alphabet alphabet(kmer::Alphabet::Kind::kProtein25);
+  const kmer::KmerCodec codec(alphabet.size(), 6);
+  const kmer::NeighborGenerator gen(alphabet, codec, cfg.make_scoring(),
+                                    cfg.subs_max_loss);
+  const auto hits = kmer::extract_distinct_kmers(seqs[0], alphabet, codec);
+  for (auto _ : state) {
+    for (const auto& h : hits) benchmark::DoNotOptimize(gen.nearest(h.code, 8));
+  }
+  state.counters["kmers/s"] = benchmark::Counter(
+      static_cast<double>(hits.size() * state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NearestKmers);
+
+void BM_SpMatTranspose(benchmark::State& state) {
+  // A k-mer matrix tile: 4,000 sequences x 88 k-mers (about 350K nonzeros)
+  // over a 10^8-column slice of the 25^6 k-mer space.
+  const auto seqs = random_proteins(4000, 93, 53);
+  const kmer::Alphabet alphabet(kmer::Alphabet::Kind::kProtein25);
+  const kmer::KmerCodec codec(alphabet.size(), 6);
+  const sparse::Index ncols = 100000000;
+  std::vector<sparse::Triple<core::KmerPos>> t;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    for (const auto& h : kmer::extract_kmers(seqs[i], alphabet, codec)) {
+      t.push_back({static_cast<sparse::Index>(i),
+                   static_cast<sparse::Index>(h.code % ncols),
+                   core::KmerPos{h.pos}});
+    }
+  }
+  const auto tile = sparse::SpMat<core::KmerPos>::from_triples(
+      static_cast<sparse::Index>(seqs.size()), ncols, std::move(t));
+  for (auto _ : state) benchmark::DoNotOptimize(tile.transposed());
+  state.counters["nnz/s"] = benchmark::Counter(
+      static_cast<double>(tile.nnz() * state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SpMatTranspose)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

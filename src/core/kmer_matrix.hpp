@@ -23,7 +23,9 @@ struct KmerMatrixInfo {
 
 /// Builds A on the runtime's grid and charges the construction to
 /// Comp::kSparseOther on every rank (extraction streams each rank's owned
-/// sequences; assembly scatters triples to their owners).
+/// sequences; assembly sends each tile to its owner). Rows are extracted
+/// and tiles assembled on `pool` (serially when null); the tiles do not
+/// depend on the pool.
 [[nodiscard]] dist::DistSpMat<KmerPos> build_kmer_matrix(
     sim::SimRuntime& rt, const DistSeqStore& store, const PastisConfig& cfg,
     KmerMatrixInfo* info = nullptr,

@@ -1,7 +1,6 @@
 #include "core/stages.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <string>
 
 #include "kmer/extract.hpp"
@@ -11,16 +10,6 @@
 namespace pastis::core {
 
 namespace {
-
-/// fn(i) for i in [0, n) on `pool`, or serially when it is null.
-void for_each_index(util::ThreadPool* pool, std::size_t n,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 /// Adds one block/batch's cascade totals to the metrics registry:
 /// cascade.tier{0,1}.{pairs_in,pairs_out,rejects}_total plus the measured
@@ -120,7 +109,7 @@ std::vector<align::CascadeStats> screen_candidates(
     obs::Span span(aligner.config().telemetry.tracer,
                    tier == 0 ? "cascade.tier0" : "cascade.tier1");
     span.arg("pairs_in", total_pairs());
-    for_each_index(pool, np, [&](std::size_t ri) {
+    util::for_each_index(pool, np, [&](std::size_t ri) {
       auto& v = rank_cands[ri];
       auto& cs = rank_cs[ri];
       std::size_t keep = 0;
@@ -171,7 +160,7 @@ std::vector<align::BatchStats> align_and_filter(
     scratch.flat_tasks.insert(scratch.flat_tasks.end(), v.begin(), v.end());
   }
   scratch.results.assign(scratch.flat_tasks.size(), align::AlignResult{});
-  for_each_index(pool, scratch.flat_tasks.size(), [&](std::size_t t) {
+  util::for_each_index(pool, scratch.flat_tasks.size(), [&](std::size_t t) {
     scratch.results[t] = aligner.align_one_task(seq_of, scratch.flat_tasks[t]);
   });
 
@@ -179,7 +168,7 @@ std::vector<align::BatchStats> align_and_filter(
   // the flattening is invisible to the modeled timings.
   if (scratch.lanes.size() != np) scratch.lanes.resize(np);
   std::vector<align::BatchStats> rank_stats(np);
-  for_each_index(pool, np, [&](std::size_t ri) {
+  util::for_each_index(pool, np, [&](std::size_t ri) {
     if (!dead.empty() && dead[ri] != 0) return;
     const auto& tasks = rank_tasks[ri];
     const std::span<const align::AlignResult> results(

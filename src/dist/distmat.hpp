@@ -4,13 +4,17 @@
 // The global M × N matrix is tiled: grid row gi owns rows
 // [split(M, side, gi), split(M, side, gi+1)), grid column gj the analogous
 // column range; rank (gi, gj) stores its tile as a local DCSR SpMat in
-// tile-local coordinates. All collective reshapes (construction from global
-// triples, transpose, the stripe splits of the blocked SUMMA §VI-A) move
-// real data between the rank-local tiles deterministically; the *time* of
-// the wire traffic is charged to the MachineModel by the callers or the
-// split helpers below.
+// tile-local coordinates. All collective reshapes (transpose, the stripe
+// splits of the blocked SUMMA §VI-A, the MCL's rank stripes) move real data
+// between the rank-local tiles deterministically; the *time* of the wire
+// traffic is charged to the MachineModel by the callers or the split
+// helpers below. They work tile to tile (a transposed tile, or contiguous
+// row slices of the tiles a target window overlaps), never through global
+// triples.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -42,52 +46,6 @@ class DistSpMat {
       locals_[static_cast<std::size_t>(r)] =
           SpMat<T>(local_nrows(r), local_ncols(r));
     }
-  }
-
-  /// Builds from global triples: each triple is routed to its owner tile and
-  /// re-indexed to tile-local coordinates. Duplicate (row, col) entries are
-  /// combined with `combine(acc, v)`; the overload without `combine` keeps
-  /// the last duplicate (mirroring SpMat::from_triples). Out-of-range
-  /// triples throw std::out_of_range.
-  template <typename CombineOp>
-  static DistSpMat from_global_triples(const sim::ProcGrid& grid, Index nrows,
-                                       Index ncols,
-                                       const std::vector<Triple<T>>& triples,
-                                       CombineOp combine,
-                                       util::ThreadPool* pool = nullptr) {
-    DistSpMat m(grid, nrows, ncols);
-    const int side = grid.side();
-    std::vector<std::vector<Triple<T>>> buckets(
-        static_cast<std::size_t>(grid.size()));
-    for (const auto& t : triples) {
-      if (t.row >= nrows || t.col >= ncols) {
-        throw std::out_of_range("DistSpMat::from_global_triples: triple out of range");
-      }
-      const int gi = sim::ProcGrid::part_of(t.row, nrows, side);
-      const int gj = sim::ProcGrid::part_of(t.col, ncols, side);
-      buckets[static_cast<std::size_t>(grid.rank_of(gi, gj))].push_back(
-          {t.row - m.row_begin(gi), t.col - m.col_begin(gj), t.val});
-    }
-    auto build_one = [&](std::size_t rank) {
-      m.locals_[rank] = SpMat<T>::from_triples(
-          m.local_nrows(static_cast<int>(rank)),
-          m.local_ncols(static_cast<int>(rank)), std::move(buckets[rank]),
-          combine);
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(buckets.size(), build_one);
-    } else {
-      for (std::size_t r = 0; r < buckets.size(); ++r) build_one(r);
-    }
-    return m;
-  }
-
-  static DistSpMat from_global_triples(const sim::ProcGrid& grid, Index nrows,
-                                       Index ncols,
-                                       const std::vector<Triple<T>>& triples,
-                                       util::ThreadPool* pool = nullptr) {
-    return from_global_triples(
-        grid, nrows, ncols, triples, [](T& acc, const T& v) { acc = v; }, pool);
   }
 
   [[nodiscard]] const sim::ProcGrid& grid() const { return grid_; }
@@ -131,27 +89,19 @@ class DistSpMat {
     return total;
   }
 
-  /// Exports all tiles back to global coordinates (rank-major order).
-  [[nodiscard]] std::vector<Triple<T>> to_global_triples() const {
-    std::vector<Triple<T>> out;
-    out.reserve(static_cast<std::size_t>(nnz()));
-    for (int rank = 0; rank < grid_.size(); ++rank) {
-      const Index r0 = row_begin(grid_.row_of(rank));
-      const Index c0 = col_begin(grid_.col_of(rank));
-      locals_[static_cast<std::size_t>(rank)].for_each(
-          [&](Index i, Index j, const T& v) {
-            out.push_back({r0 + i, c0 + j, v});
-          });
-    }
-    return out;
-  }
-
   /// Global transpose (pairwise tile exchange on the real machine). The
-  /// caller charges the wire time; the data movement itself is exact.
+  /// caller charges the wire time; the data movement itself is exact. Both
+  /// grids split a dimension the same way, so tile (gj, gi) of the
+  /// transpose is exactly tile (gi, gj) transposed — each a local O(nnz)
+  /// radix pass, one tile per pool task.
   [[nodiscard]] DistSpMat transposed(util::ThreadPool* pool = nullptr) const {
-    auto triples = to_global_triples();
-    for (auto& t : triples) std::swap(t.row, t.col);
-    return from_global_triples(grid_, ncols_, nrows_, triples, pool);
+    DistSpMat out(grid_, ncols_, nrows_);
+    util::for_each_index(pool, locals_.size(), [&](std::size_t rank) {
+      const int r = static_cast<int>(rank);
+      out.local(grid_.rank_of(grid_.col_of(r), grid_.row_of(r))) =
+          locals_[rank].transposed();
+    });
+    return out;
   }
 
  private:
@@ -161,6 +111,160 @@ class DistSpMat {
   std::vector<SpMat<T>> locals_;  // one tile per rank, tile-local coords
 };
 
+/// The window [r0, r1) × [c0, c1) of A as one SpMat in window-local
+/// coordinates, assembled from contiguous row-range slices of the tiles it
+/// overlaps: grid rows in order, and within a grid row each row's segments
+/// concatenated across the overlapped tiles in grid-column order (tiles
+/// along a grid row own consecutive disjoint column ranges). The result is
+/// sorted DCSR by construction — no triples, no sort, no dedup, values
+/// bit-exact. Every reshape below (stripe splits, grid-row and grid-column
+/// strips, rank stripes) is such a window.
+template <typename T>
+[[nodiscard]] SpMat<T> gather_window(const DistSpMat<T>& A, Index r0, Index r1,
+                                     Index c0, Index c1) {
+  assert(r0 <= r1 && r1 <= A.nrows() && c0 <= c1 && c1 <= A.ncols());
+  std::vector<Index> row_ids;
+  std::vector<Offset> row_ptr{0};
+  std::vector<Index> cols;
+  std::vector<T> vals;
+  if (r0 < r1 && c0 < c1) {
+    const sim::ProcGrid& grid = A.grid();
+    const int side = grid.side();
+    const int gj0 = sim::ProcGrid::part_of(c0, A.ncols(), side);
+    const int gj1 = sim::ProcGrid::part_of(c1 - 1, A.ncols(), side);
+    // One tile's share of the window in the current grid row: directory
+    // slots [k, end) and tile-local columns [lo, hi) (`whole` when the
+    // tile's columns all fall inside the window).
+    struct Slice {
+      const SpMat<T>* tile;
+      std::size_t k, end;
+      Index lo, hi, col_begin;
+      bool whole;
+      /// Nonzero range of directory slot `q` inside the column window.
+      [[nodiscard]] std::pair<Offset, Offset> span(std::size_t q) const {
+        Offset b = tile->row_begin(q);
+        Offset e = tile->row_end(q);
+        if (!whole) {
+          const Index* first = tile->col_data(b);
+          const Index* last = tile->col_data(e);
+          b += static_cast<Offset>(std::lower_bound(first, last, lo) - first);
+          e -= static_cast<Offset>(last - std::lower_bound(first, last, hi));
+        }
+        return {b, e};
+      }
+    };
+    std::vector<Slice> slices;
+    const int gi1 = sim::ProcGrid::part_of(r1 - 1, A.nrows(), side);
+    for (int gi = sim::ProcGrid::part_of(r0, A.nrows(), side); gi <= gi1;
+         ++gi) {
+      const Index rb = A.row_begin(gi);
+      const Index lo = std::max(r0, rb) - rb;
+      const Index hi = std::min(r1, A.row_begin(gi + 1)) - rb;
+      slices.clear();
+      Offset nnz = 0;
+      for (int gj = gj0; gj <= gj1; ++gj) {
+        const SpMat<T>& t = A.local(grid.rank_of(gi, gj));
+        const auto ids = t.row_ids();
+        const auto k = static_cast<std::size_t>(
+            std::lower_bound(ids.begin(), ids.end(), lo) - ids.begin());
+        const auto end = static_cast<std::size_t>(
+            std::lower_bound(ids.begin(), ids.end(), hi) - ids.begin());
+        if (k == end) continue;
+        const Index cb = A.col_begin(gj);
+        const Index ce = A.col_begin(gj + 1);
+        const Slice sl{&t, k, end, std::max(c0, cb) - cb, std::min(c1, ce) - cb,
+                       cb, c0 <= cb && ce <= c1};
+        if (sl.whole) {
+          nnz += t.row_begin(end) - t.row_begin(k);
+        } else {
+          for (std::size_t q = k; q < end; ++q) {
+            const auto [b, e] = sl.span(q);
+            nnz += e - b;
+          }
+        }
+        slices.push_back(sl);
+      }
+      cols.reserve(cols.size() + nnz);
+      vals.reserve(vals.size() + nnz);
+      while (true) {
+        bool any = false;
+        Index row = 0;
+        for (const auto& sl : slices) {
+          if (sl.k == sl.end) continue;
+          const Index r = sl.tile->row_id(sl.k);
+          if (!any || r < row) row = r;
+          any = true;
+        }
+        if (!any) break;
+        const std::size_t row_start = cols.size();
+        for (auto& sl : slices) {
+          if (sl.k == sl.end || sl.tile->row_id(sl.k) != row) continue;
+          const auto [b, e] = sl.span(sl.k++);
+          for (Offset o = b; o < e; ++o) {
+            cols.push_back(sl.tile->col(o) + sl.col_begin - c0);
+            vals.push_back(sl.tile->val(o));
+          }
+        }
+        if (cols.size() > row_start) {
+          row_ids.push_back(row + rb - r0);
+          row_ptr.push_back(static_cast<Offset>(cols.size()));
+        }
+      }
+    }
+  }
+  return SpMat<T>::from_sorted_parts(r1 - r0, c1 - c0, std::move(row_ids),
+                                     std::move(row_ptr), std::move(cols),
+                                     std::move(vals));
+}
+
+namespace detail {
+
+/// Splits M into `nb` stripes along its rows (`by_rows`) or columns, each
+/// redistributed over the runtime's grid: every stripe tile is the window
+/// of M it covers. Charges the all-to-all redistribution to kSparseOther.
+template <typename T>
+[[nodiscard]] std::vector<DistSpMat<T>> split_stripes(sim::SimRuntime& rt,
+                                                      const DistSpMat<T>& M,
+                                                      int nb, bool by_rows,
+                                                      util::ThreadPool* pool) {
+  const Index n = by_rows ? M.nrows() : M.ncols();
+  std::vector<DistSpMat<T>> stripes;
+  stripes.reserve(static_cast<std::size_t>(nb));
+  for (int s = 0; s < nb; ++s) {
+    const Index extent = sim::ProcGrid::split_point(n, nb, s + 1) -
+                         sim::ProcGrid::split_point(n, nb, s);
+    stripes.emplace_back(rt.grid(), by_rows ? extent : M.nrows(),
+                         by_rows ? M.ncols() : extent);
+  }
+  const auto p = static_cast<std::size_t>(rt.grid().size());
+  util::for_each_index(pool, stripes.size() * p, [&](std::size_t job) {
+    const int s = static_cast<int>(job / p);
+    const int rank = static_cast<int>(job % p);
+    auto& S = stripes[static_cast<std::size_t>(s)];
+    const int gi = rt.grid().row_of(rank);
+    const int gj = rt.grid().col_of(rank);
+    const Index shift = sim::ProcGrid::split_point(n, nb, s);
+    const Index dr = by_rows ? shift : 0;
+    const Index dc = by_rows ? 0 : shift;
+    S.local(rank) =
+        gather_window(M, S.row_begin(gi) + dr, S.row_begin(gi + 1) + dr,
+                      S.col_begin(gj) + dc, S.col_begin(gj + 1) + dc);
+  });
+  // Redistribution cost: every rank streams its tile out and its stripe
+  // slices back in; the wire carries each tile once.
+  rt.spmd([&](int rank) {
+    const std::uint64_t b = M.local(rank).bytes();
+    rt.clock(rank).charge(sim::Comp::kSparseOther,
+                          rt.model().sparse_stream_time(2 * b) +
+                              rt.model().p2p_time(b));
+    rt.clock(rank).bytes_sent += b;
+    rt.clock(rank).bytes_recv += b;
+  });
+  return stripes;
+}
+
+}  // namespace detail
+
 /// Splits A into `nb` row stripes (stripe r = global rows
 /// [split(M, nb, r), split(M, nb, r+1)), re-indexed to stripe-local rows),
 /// each redistributed over the full grid — the input layout of the blocked
@@ -169,33 +273,7 @@ template <typename T>
 [[nodiscard]] std::vector<DistSpMat<T>> split_row_stripes(
     sim::SimRuntime& rt, const DistSpMat<T>& A, int nb,
     util::ThreadPool* pool = nullptr) {
-  const Index n = A.nrows();
-  std::vector<std::vector<Triple<T>>> per_stripe(static_cast<std::size_t>(nb));
-  for (const auto& t : A.to_global_triples()) {
-    const int s = sim::ProcGrid::part_of(t.row, n, nb);
-    per_stripe[static_cast<std::size_t>(s)].push_back(
-        {t.row - sim::ProcGrid::split_point(n, nb, s), t.col, t.val});
-  }
-  std::vector<DistSpMat<T>> stripes;
-  stripes.reserve(per_stripe.size());
-  for (int s = 0; s < nb; ++s) {
-    const Index rows = sim::ProcGrid::split_point(n, nb, s + 1) -
-                       sim::ProcGrid::split_point(n, nb, s);
-    stripes.push_back(DistSpMat<T>::from_global_triples(
-        rt.grid(), rows, A.ncols(), per_stripe[static_cast<std::size_t>(s)],
-        pool));
-  }
-  // Redistribution cost: every rank streams its tile out and its stripe
-  // slices back in; the wire carries each tile once.
-  rt.spmd([&](int rank) {
-    const std::uint64_t b = A.local(rank).bytes();
-    rt.clock(rank).charge(sim::Comp::kSparseOther,
-                          rt.model().sparse_stream_time(2 * b) +
-                              rt.model().p2p_time(b));
-    rt.clock(rank).bytes_sent += b;
-    rt.clock(rank).bytes_recv += b;
-  });
-  return stripes;
+  return detail::split_stripes(rt, A, nb, /*by_rows=*/true, pool);
 }
 
 /// Column-stripe analogue of split_row_stripes.
@@ -203,119 +281,28 @@ template <typename T>
 [[nodiscard]] std::vector<DistSpMat<T>> split_col_stripes(
     sim::SimRuntime& rt, const DistSpMat<T>& B, int nb,
     util::ThreadPool* pool = nullptr) {
-  const Index n = B.ncols();
-  std::vector<std::vector<Triple<T>>> per_stripe(static_cast<std::size_t>(nb));
-  for (const auto& t : B.to_global_triples()) {
-    const int s = sim::ProcGrid::part_of(t.col, n, nb);
-    per_stripe[static_cast<std::size_t>(s)].push_back(
-        {t.row, t.col - sim::ProcGrid::split_point(n, nb, s), t.val});
-  }
-  std::vector<DistSpMat<T>> stripes;
-  stripes.reserve(per_stripe.size());
-  for (int s = 0; s < nb; ++s) {
-    const Index cols = sim::ProcGrid::split_point(n, nb, s + 1) -
-                       sim::ProcGrid::split_point(n, nb, s);
-    stripes.push_back(DistSpMat<T>::from_global_triples(
-        rt.grid(), B.nrows(), cols, per_stripe[static_cast<std::size_t>(s)],
-        pool));
-  }
-  rt.spmd([&](int rank) {
-    const std::uint64_t b = B.local(rank).bytes();
-    rt.clock(rank).charge(sim::Comp::kSparseOther,
-                          rt.model().sparse_stream_time(2 * b) +
-                              rt.model().p2p_time(b));
-    rt.clock(rank).bytes_sent += b;
-    rt.clock(rank).bytes_recv += b;
-  });
-  return stripes;
+  return detail::split_stripes(rt, B, nb, /*by_rows=*/false, pool);
 }
 
 /// Horizontally concatenates the tiles of grid row `gi` into one strip:
-/// rows = the grid row's local rows, columns = global. Tiles along a grid
-/// row own consecutive disjoint column ranges, so per-row segments
-/// concatenate in grid-column order straight into sorted DCSR — no sort,
-/// no dedup, values bit-exact. This is the A-side operand assembly of the
-/// gather-stages SUMMA fold (dist/summa.hpp) and of the row-stripe
-/// reshapes below.
+/// rows = the grid row's local rows, columns = global. The A-side operand
+/// assembly of the gather-stages SUMMA fold (dist/summa.hpp).
 template <typename T>
 [[nodiscard]] SpMat<T> hstack_grid_row(const DistSpMat<T>& A, int gi) {
-  const int side = A.grid().side();
-  const Index R = A.row_begin(gi + 1) - A.row_begin(gi);
-  std::vector<Offset> counts(R, 0);
-  for (int s = 0; s < side; ++s) {
-    const auto& t = A.local(A.grid().rank_of(gi, s));
-    for (std::size_t k = 0; k < t.n_nonempty_rows(); ++k) {
-      counts[t.row_id(k)] += t.row_end(k) - t.row_begin(k);
-    }
-  }
-  std::vector<Index> row_ids;
-  std::vector<Offset> row_ptr;
-  row_ptr.push_back(0);
-  std::vector<Offset> cursor(R, 0);
-  Offset nnz = 0;
-  for (Index r = 0; r < R; ++r) {
-    if (counts[r] == 0) continue;
-    row_ids.push_back(r);
-    cursor[r] = nnz;
-    nnz += counts[r];
-    row_ptr.push_back(nnz);
-  }
-  if (nnz == 0) return SpMat<T>(R, A.ncols());
-  std::vector<Index> cols(nnz);
-  std::vector<T> vals(nnz);
-  for (int s = 0; s < side; ++s) {
-    const Index c0 = A.col_begin(s);
-    const auto& t = A.local(A.grid().rank_of(gi, s));
-    for (std::size_t k = 0; k < t.n_nonempty_rows(); ++k) {
-      const Index r = t.row_id(k);
-      for (Offset o = t.row_begin(k); o < t.row_end(k); ++o) {
-        cols[cursor[r]] = t.col(o) + c0;
-        vals[cursor[r]] = t.val(o);
-        ++cursor[r];
-      }
-    }
-  }
-  return SpMat<T>::from_sorted_parts(R, A.ncols(), std::move(row_ids),
-                                     std::move(row_ptr), std::move(cols),
-                                     std::move(vals));
+  return gather_window(A, A.row_begin(gi), A.row_begin(gi + 1), 0, A.ncols());
 }
 
 /// Vertically concatenates the tiles of grid column `gj`: rows = global,
-/// columns = the grid column's local columns. Tiles down a grid column own
-/// consecutive disjoint row ranges, so the concatenation in grid-row order
-/// is sorted DCSR by construction. The B-side operand assembly of the
-/// gather-stages SUMMA fold.
+/// columns = the grid column's local columns. The B-side operand assembly
+/// of the gather-stages SUMMA fold.
 template <typename T>
 [[nodiscard]] SpMat<T> vstack_grid_col(const DistSpMat<T>& B, int gj) {
-  const int side = B.grid().side();
-  const Index C = B.col_begin(gj + 1) - B.col_begin(gj);
-  std::vector<Index> row_ids;
-  std::vector<Offset> row_ptr;
-  std::vector<Index> cols;
-  std::vector<T> vals;
-  row_ptr.push_back(0);
-  for (int s = 0; s < side; ++s) {
-    const Index r0 = B.row_begin(s);
-    const auto& t = B.local(B.grid().rank_of(s, gj));
-    for (std::size_t k = 0; k < t.n_nonempty_rows(); ++k) {
-      row_ids.push_back(t.row_id(k) + r0);
-      for (Offset o = t.row_begin(k); o < t.row_end(k); ++o) {
-        cols.push_back(t.col(o));
-        vals.push_back(t.val(o));
-      }
-      row_ptr.push_back(static_cast<Offset>(cols.size()));
-    }
-  }
-  return SpMat<T>::from_sorted_parts(B.nrows(), C, std::move(row_ids),
-                                     std::move(row_ptr), std::move(cols),
-                                     std::move(vals));
+  return gather_window(B, 0, B.nrows(), B.col_begin(gj), B.col_begin(gj + 1));
 }
 
 /// Reshapes A from the 2D tiling to one full-width row stripe per rank:
 /// stripe r = global rows [split(M, p, r), split(M, p, r+1)), stripe-local
-/// row ids, global columns. Because p = side², every rank stripe nests
-/// inside exactly one grid row (split(M, side, g) = split(M, p, g·side)),
-/// so the reshape is a grid-row hstack followed by a row cut — exact, no
+/// row ids, global columns — the window of those rows, so exact with no
 /// value reassociation. This is the layout the distributed MCL's
 /// column-local kernels (inflate/prune/chaos over the transposed flow
 /// matrix) need: every flow column whole on one rank. Charges the
@@ -325,30 +312,16 @@ template <typename T>
     sim::SimRuntime& rt, const DistSpMat<T>& A,
     sim::Comp charge = sim::Comp::kSparseOther,
     util::ThreadPool* pool = nullptr) {
-  const sim::ProcGrid& grid = rt.grid();
-  const int side = grid.side();
-  const int p = grid.size();
+  const int p = rt.grid().size();
   const Index n = A.nrows();
-
-  std::vector<SpMat<T>> row_strips(static_cast<std::size_t>(side));
-  auto build_strip = [&](std::size_t gi) {
-    row_strips[gi] = hstack_grid_row(A, static_cast<int>(gi));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(row_strips.size(), build_strip);
-  } else {
-    for (std::size_t gi = 0; gi < row_strips.size(); ++gi) build_strip(gi);
-  }
-
   std::vector<SpMat<T>> stripes(static_cast<std::size_t>(p));
+  util::for_each_index(pool, stripes.size(), [&](std::size_t rank) {
+    const int r = static_cast<int>(rank);
+    stripes[rank] = gather_window(A, sim::ProcGrid::split_point(n, p, r),
+                                  sim::ProcGrid::split_point(n, p, r + 1), 0,
+                                  A.ncols());
+  });
   rt.spmd([&](int rank) {
-    const int gi = rank / side;  // the grid row this rank's stripe nests in
-    const Index r0 = sim::ProcGrid::split_point(n, p, rank);
-    const Index r1 = sim::ProcGrid::split_point(n, p, rank + 1);
-    const Index base = A.row_begin(gi);
-    stripes[static_cast<std::size_t>(rank)] =
-        row_strips[static_cast<std::size_t>(gi)].extract(r0 - base, r1 - base,
-                                                         0, A.ncols());
     const std::uint64_t b_out = A.local(rank).bytes();
     const std::uint64_t b_in = stripes[static_cast<std::size_t>(rank)].bytes();
     rt.clock(rank).charge(charge,
@@ -379,7 +352,7 @@ template <typename T>
   for (const auto& s : stripes) n += s.nrows();
 
   DistSpMat<T> out(grid, n, ncols);
-  auto build_tile = [&](std::size_t rank) {
+  util::for_each_index(pool, static_cast<std::size_t>(p), [&](std::size_t rank) {
     const int gi = grid.row_of(static_cast<int>(rank));
     const int gj = grid.col_of(static_cast<int>(rank));
     const Index c0 = out.col_begin(gj);
@@ -413,14 +386,7 @@ template <typename T>
         out.local_nrows(static_cast<int>(rank)),
         out.local_ncols(static_cast<int>(rank)), std::move(row_ids),
         std::move(row_ptr), std::move(cols), std::move(vals));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(p), build_tile);
-  } else {
-    for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
-      build_tile(r);
-    }
-  }
+  });
   rt.spmd([&](int rank) {
     const std::uint64_t b_out = stripes[static_cast<std::size_t>(rank)].bytes();
     const std::uint64_t b_in = out.local(rank).bytes();

@@ -1,7 +1,7 @@
 #include "kmer/nearest.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <array>
 
 namespace pastis::kmer {
 
@@ -36,14 +36,31 @@ NeighborGenerator::NeighborGenerator(const Alphabet& alphabet,
                                         : a.residue < b.residue;
               });
   }
+  // weight_[pos] = σ^(k-1-pos): the code step of position pos.
+  weight_.assign(static_cast<std::size_t>(codec.k()), 1);
+  for (int pos = codec.k() - 2; pos >= 0; --pos) {
+    weight_[static_cast<std::size_t>(pos)] =
+        weight_[static_cast<std::size_t>(pos) + 1] *
+        static_cast<std::uint64_t>(sigma);
+  }
 }
 
 std::vector<NeighborKmer> NeighborGenerator::nearest(std::uint64_t code,
                                                      std::size_t m) const {
   std::vector<NeighborKmer> out;
   if (m == 0) return out;
-  const auto residues = codec_.decode(code);
   const int k = codec_.k();
+  // σ >= 2 and σ^k <= 2^62 bound k by 62.
+  std::array<std::uint8_t, 64> residues{};
+  {
+    std::uint64_t v = code;
+    const auto sigma = static_cast<std::uint64_t>(codec_.sigma());
+    for (int i = k - 1; i >= 0; --i) {
+      residues[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v % sigma);
+      v /= sigma;
+    }
+  }
 
   // A state is a substitution set {(pos, cand-idx)} with strictly increasing
   // positions. Every state is generated exactly once:
@@ -55,61 +72,70 @@ std::vector<NeighborKmer> NeighborGenerator::nearest(std::uint64_t code,
   // advanced before each append — so no duplicates. Candidate lists are
   // loss-ascending and losses are >= 0, so both successors never decrease
   // the total loss and the heap pops states in globally sorted order.
-  struct Sub {
+  //
+  // A state is an arena node holding only its last substitution and the
+  // code with every earlier substitution applied (`base`): successor (a)
+  // shares the base, successor (b) takes the state's own code as its base.
+  // The heap orders (loss, node) entries by loss alone, with the push
+  // order below, so its pops — and the choice among neighbours that tie on
+  // loss at the m-th place — follow one fixed best-first sequence.
+  struct Node {
+    std::uint64_t base;
+    int loss;
     int pos;
     int idx;
   };
-  struct State {
+  struct Entry {
     int loss;
-    std::vector<Sub> subs;
+    std::uint32_t node;
   };
-  auto sub_loss = [&](const Sub& s) {
-    return cand_[residues[static_cast<std::size_t>(s.pos)]]
-                [static_cast<std::size_t>(s.idx)]
-                    .loss;
+  thread_local std::vector<Node> arena;
+  thread_local std::vector<Entry> heap;
+  arena.clear();
+  heap.clear();
+  auto cand_of = [&](int pos) -> const std::vector<Candidate>& {
+    return cand_[residues[static_cast<std::size_t>(pos)]];
   };
-  auto cmp = [](const State& a, const State& b) { return a.loss > b.loss; };
-  std::priority_queue<State, std::vector<State>, decltype(cmp)> heap(cmp);
+  auto code_of = [&](const Node& n) {
+    const std::uint8_t orig = residues[static_cast<std::size_t>(n.pos)];
+    const std::uint8_t rep =
+        cand_of(n.pos)[static_cast<std::size_t>(n.idx)].residue;
+    return n.base + weight_[static_cast<std::size_t>(n.pos)] *
+                        (static_cast<std::uint64_t>(rep) -
+                         static_cast<std::uint64_t>(orig));
+  };
+  auto cmp = [](const Entry& a, const Entry& b) { return a.loss > b.loss; };
+  auto push = [&](const Node& n) {
+    heap.push_back({n.loss, static_cast<std::uint32_t>(arena.size())});
+    arena.push_back(n);
+    std::push_heap(heap.begin(), heap.end(), cmp);
+  };
 
   for (int p = 0; p < k; ++p) {
-    if (!cand_[residues[static_cast<std::size_t>(p)]].empty()) {
-      State s{0, {{p, 0}}};
-      s.loss = sub_loss(s.subs.back());
-      heap.push(std::move(s));
-    }
+    if (!cand_of(p).empty()) push({code, cand_of(p).front().loss, p, 0});
   }
 
   while (!heap.empty() && out.size() < m) {
-    State s = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    const Node s = arena[heap.back().node];
+    heap.pop_back();
     if (s.loss > max_loss_) break;
 
-    std::uint64_t v = code;
-    for (const Sub& sub : s.subs) {
-      const std::uint8_t orig = residues[static_cast<std::size_t>(sub.pos)];
-      const std::uint8_t rep =
-          cand_[orig][static_cast<std::size_t>(sub.idx)].residue;
-      v = codec_.substitute(v, sub.pos, orig, rep);
-    }
+    const std::uint64_t v = code_of(s);
     out.push_back({v, s.loss});
 
-    const Sub last = s.subs.back();
-    const std::uint8_t last_orig = residues[static_cast<std::size_t>(last.pos)];
-
+    const auto& last = cand_of(s.pos);
     // (a) advance the last substitution to its next-best candidate.
-    if (static_cast<std::size_t>(last.idx) + 1 < cand_[last_orig].size()) {
-      State nxt = s;
-      nxt.subs.back().idx = last.idx + 1;
-      nxt.loss = s.loss - sub_loss(last) + sub_loss(nxt.subs.back());
-      heap.push(std::move(nxt));
+    if (static_cast<std::size_t>(s.idx) + 1 < last.size()) {
+      push({s.base,
+            s.loss - last[static_cast<std::size_t>(s.idx)].loss +
+                last[static_cast<std::size_t>(s.idx) + 1].loss,
+            s.pos, s.idx + 1});
     }
     // (b) append a substitution at every later position.
-    for (int p = last.pos + 1; p < k; ++p) {
-      if (cand_[residues[static_cast<std::size_t>(p)]].empty()) continue;
-      State nxt = s;
-      nxt.subs.push_back({p, 0});
-      nxt.loss = s.loss + sub_loss(nxt.subs.back());
-      heap.push(std::move(nxt));
+    for (int p = s.pos + 1; p < k; ++p) {
+      if (cand_of(p).empty()) continue;
+      push({v, s.loss + cand_of(p).front().loss, p, 0});
     }
   }
 

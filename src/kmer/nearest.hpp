@@ -5,8 +5,9 @@
 //
 // The distance of a neighbour is its score *loss*: Σ_i S(a_i,a_i) −
 // S(a_i,b_i) under BLOSUM62. Neighbours are enumerated best-first with a
-// priority queue over partial substitution sets, so the top-m list is exact
-// for any m (no single-substitution-only approximation).
+// binary heap over partial substitution sets, so the top-m list is exact
+// for any m (no single-substitution-only approximation). The states live in
+// a per-thread arena that is reused across calls.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,10 @@ class NeighborGenerator {
                     const align::Scoring& scoring, int max_loss = 1 << 20);
 
   /// The m nearest substitute k-mers of `code` (the k-mer itself excluded),
-  /// ordered by ascending loss; ties broken by code for determinism.
+  /// returned in ascending loss, equal losses by ascending code. When more
+  /// neighbours tie on the loss of the m-th place than fit, the ones kept
+  /// are those the best-first enumeration pops first (a fixed order that
+  /// depends only on the k-mer and m), not the smallest codes.
   [[nodiscard]] std::vector<NeighborKmer> nearest(std::uint64_t code,
                                                   std::size_t m) const;
 
@@ -46,6 +50,8 @@ class NeighborGenerator {
   int max_loss_;
   // cand_[c] = substitutions for residue code c, ascending by loss.
   std::vector<std::vector<Candidate>> cand_;
+  // weight_[pos] = σ^(k-1-pos), the code step of a change at position pos.
+  std::vector<std::uint64_t> weight_;
 };
 
 }  // namespace pastis::kmer

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -176,42 +177,56 @@ class SpMat {
     return out;
   }
 
-  /// Transposes via a counting pass over the distinct columns
-  /// (dimension-independent; safe for hypersparse). Row-major input order
-  /// means that, within any output row, the original row ids arrive
-  /// strictly increasing — so the transpose assembles directly into sorted
-  /// DCSR arrays with no triple sort and no dedup.
+  /// Transposes with a stable LSD radix sort of the row-major nonzeros by
+  /// column: O(nnz) per pass, at most two passes of ≤ 16-bit digits for
+  /// 32-bit columns, and independent of the dimension (safe for
+  /// hypersparse). Stability keeps the original rows ascending within each
+  /// output row, so the sorted entries are the transpose's DCSR arrays with
+  /// no comparison sort and no dedup.
   [[nodiscard]] SpMat transposed() const {
-    if (col_ids_.empty()) return SpMat(ncols_, nrows_);
-    // Distinct columns of this matrix = nonempty rows of the transpose.
-    std::vector<Index> out_rows(col_ids_);
-    std::sort(out_rows.begin(), out_rows.end());
-    out_rows.erase(std::unique(out_rows.begin(), out_rows.end()),
-                   out_rows.end());
-    // Slot of each nonzero's column in the output directory (computed once,
-    // reused by the scatter pass below).
-    std::vector<Index> slot(col_ids_.size());
-    std::vector<Offset> counts(out_rows.size(), 0);
-    for (std::size_t o = 0; o < col_ids_.size(); ++o) {
-      const auto it =
-          std::lower_bound(out_rows.begin(), out_rows.end(), col_ids_[o]);
-      slot[o] = static_cast<Index>(it - out_rows.begin());
-      ++counts[slot[o]];
-    }
-    std::vector<Offset> ptr(out_rows.size() + 1, 0);
-    for (std::size_t k = 0; k < out_rows.size(); ++k) {
-      ptr[k + 1] = ptr[k] + counts[k];
-    }
-    std::vector<Offset> cursor(ptr.begin(), ptr.end() - 1);
-    std::vector<Index> out_cols(col_ids_.size());
-    std::vector<T> out_vals(col_ids_.size());
-    for (std::size_t k = 0; k < row_ids_.size(); ++k) {
-      for (Offset o = row_ptr_[k]; o < row_ptr_[k + 1]; ++o) {
-        const Offset at = cursor[slot[o]]++;
-        out_cols[at] = row_ids_[k];
-        out_vals[at] = vals_[o];
+    const std::size_t nz = col_ids_.size();
+    if (nz == 0) return SpMat(ncols_, nrows_);
+    const Index max_col = *std::max_element(col_ids_.begin(), col_ids_.end());
+    const int width = std::max(1, static_cast<int>(std::bit_width(max_col)));
+    const int passes = (width + 15) / 16;
+    const int bits = (width + passes - 1) / passes;
+    const std::uint64_t mask = (std::uint64_t(1) << bits) - 1;
+    auto digit = [&](Index c, int pass) {
+      return static_cast<std::size_t>((std::uint64_t(c) >> (pass * bits)) &
+                                      mask);
+    };
+    // Entries carry (new row = old column, new column = old row, value).
+    std::vector<Triple<T>> sorted(nz), spare(passes > 1 ? nz : 0);
+    std::vector<Offset> start((std::size_t(1) << bits) + 1);
+    for (int pass = 0; pass < passes; ++pass) {
+      std::fill(start.begin(), start.end(), 0);
+      for (const Index c : col_ids_) ++start[digit(c, pass) + 1];
+      for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+      if (pass == 0) {
+        for (std::size_t k = 0; k < row_ids_.size(); ++k) {
+          for (Offset o = row_ptr_[k]; o < row_ptr_[k + 1]; ++o) {
+            sorted[start[digit(col_ids_[o], 0)]++] = {col_ids_[o], row_ids_[k],
+                                                      vals_[o]};
+          }
+        }
+      } else {
+        spare.swap(sorted);
+        for (const auto& t : spare) sorted[start[digit(t.row, pass)]++] = t;
       }
     }
+    std::vector<Index> out_rows;
+    std::vector<Offset> ptr;
+    std::vector<Index> out_cols(nz);
+    std::vector<T> out_vals(nz);
+    for (std::size_t o = 0; o < nz; ++o) {
+      if (o == 0 || sorted[o].row != sorted[o - 1].row) {
+        out_rows.push_back(sorted[o].row);
+        ptr.push_back(static_cast<Offset>(o));
+      }
+      out_cols[o] = sorted[o].col;
+      out_vals[o] = sorted[o].val;
+    }
+    ptr.push_back(static_cast<Offset>(nz));
     return from_sorted_parts(ncols_, nrows_, std::move(out_rows),
                              std::move(ptr), std::move(out_cols),
                              std::move(out_vals));

@@ -59,4 +59,15 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs fn(i) for i in [0, n) on `pool`, or in order on the calling thread
+/// when `pool` is null.
+template <typename Fn>
+void for_each_index(ThreadPool* pool, std::size_t n, Fn fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 }  // namespace pastis::util

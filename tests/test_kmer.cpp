@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <map>
+#include <queue>
 #include <set>
 
 #include "align/scoring.hpp"
@@ -263,4 +264,189 @@ TEST(Neighbors, ZeroMReturnsNothing) {
   const auto scoring = pastis::align::Scoring::pastis_default();
   const pk::NeighborGenerator gen(a, codec, scoring);
   EXPECT_TRUE(gen.nearest(0, 0).empty());
+}
+
+namespace {
+
+/// The best-first enumeration as first written: one std::priority_queue
+/// state per substitution set, each carrying its own substitution list.
+/// NeighborGenerator::nearest must reproduce it exactly — including which
+/// neighbours win a loss tie at the m-th place.
+class ReferenceNeighbors {
+ public:
+  ReferenceNeighbors(const pk::Alphabet& alphabet, const pk::KmerCodec& codec,
+                     const pastis::align::Scoring& scoring, int max_loss)
+      : codec_(codec), max_loss_(max_loss) {
+    const int sigma = alphabet.size();
+    cand_.resize(static_cast<std::size_t>(sigma));
+    for (int orig = 0; orig < sigma; ++orig) {
+      const char oc = alphabet.representative(static_cast<std::uint8_t>(orig));
+      const int self = scoring.score_chars(oc, oc);
+      auto& list = cand_[static_cast<std::size_t>(orig)];
+      for (int sub = 0; sub < sigma; ++sub) {
+        if (sub == orig) continue;
+        const char sc = alphabet.representative(static_cast<std::uint8_t>(sub));
+        const int loss = std::max(0, self - scoring.score_chars(oc, sc));
+        if (loss <= max_loss_) {
+          list.push_back({loss, static_cast<std::uint8_t>(sub)});
+        }
+      }
+      std::sort(list.begin(), list.end(), [](const Cand& a, const Cand& b) {
+        return a.loss != b.loss ? a.loss < b.loss : a.residue < b.residue;
+      });
+    }
+  }
+
+  std::vector<pk::NeighborKmer> nearest(std::uint64_t code,
+                                        std::size_t m) const {
+    std::vector<pk::NeighborKmer> out;
+    if (m == 0) return out;
+    const auto residues = codec_.decode(code);
+    const int k = codec_.k();
+    struct Sub {
+      int pos;
+      int idx;
+    };
+    struct State {
+      int loss;
+      std::vector<Sub> subs;
+    };
+    auto sub_loss = [&](const Sub& s) {
+      return cand_[residues[static_cast<std::size_t>(s.pos)]]
+                  [static_cast<std::size_t>(s.idx)]
+                      .loss;
+    };
+    auto cmp = [](const State& a, const State& b) { return a.loss > b.loss; };
+    std::priority_queue<State, std::vector<State>, decltype(cmp)> heap(cmp);
+    for (int p = 0; p < k; ++p) {
+      if (!cand_[residues[static_cast<std::size_t>(p)]].empty()) {
+        State s{0, {{p, 0}}};
+        s.loss = sub_loss(s.subs.back());
+        heap.push(std::move(s));
+      }
+    }
+    while (!heap.empty() && out.size() < m) {
+      State s = heap.top();
+      heap.pop();
+      if (s.loss > max_loss_) break;
+      std::uint64_t v = code;
+      for (const Sub& sub : s.subs) {
+        const std::uint8_t orig = residues[static_cast<std::size_t>(sub.pos)];
+        const std::uint8_t rep =
+            cand_[orig][static_cast<std::size_t>(sub.idx)].residue;
+        v = codec_.substitute(v, sub.pos, orig, rep);
+      }
+      out.push_back({v, s.loss});
+      const Sub last = s.subs.back();
+      const std::uint8_t last_orig =
+          residues[static_cast<std::size_t>(last.pos)];
+      if (static_cast<std::size_t>(last.idx) + 1 < cand_[last_orig].size()) {
+        State nxt = s;
+        nxt.subs.back().idx = last.idx + 1;
+        nxt.loss = s.loss - sub_loss(last) + sub_loss(nxt.subs.back());
+        heap.push(std::move(nxt));
+      }
+      for (int p = last.pos + 1; p < k; ++p) {
+        if (cand_[residues[static_cast<std::size_t>(p)]].empty()) continue;
+        State nxt = s;
+        nxt.subs.push_back({p, 0});
+        nxt.loss = s.loss + sub_loss(nxt.subs.back());
+        heap.push(std::move(nxt));
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const pk::NeighborKmer& a, const pk::NeighborKmer& b) {
+                return a.loss != b.loss ? a.loss < b.loss : a.code < b.code;
+              });
+    return out;
+  }
+
+ private:
+  struct Cand {
+    int loss;
+    std::uint8_t residue;
+  };
+  const pk::KmerCodec& codec_;
+  int max_loss_;
+  std::vector<std::vector<Cand>> cand_;
+};
+
+void expect_same_neighbors(const std::vector<pk::NeighborKmer>& got,
+                           const std::vector<pk::NeighborKmer>& want,
+                           std::uint64_t code, std::size_t m, int max_loss) {
+  ASSERT_EQ(got.size(), want.size())
+      << "code=" << code << " m=" << m << " max_loss=" << max_loss;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].code, want[i].code)
+        << "code=" << code << " m=" << m << " max_loss=" << max_loss
+        << " i=" << i;
+    ASSERT_EQ(got[i].loss, want[i].loss)
+        << "code=" << code << " m=" << m << " max_loss=" << max_loss
+        << " i=" << i;
+  }
+}
+
+}  // namespace
+
+TEST(Neighbors, MatchesReferenceEnumeration) {
+  const auto scoring = pastis::align::Scoring::pastis_default();
+  struct Space {
+    pk::Alphabet::Kind kind;
+    int k;
+  };
+  for (const Space sp : {Space{pk::Alphabet::Kind::kMurphy10, 3},
+                         Space{pk::Alphabet::Kind::kProtein25, 6}}) {
+    const pk::Alphabet a(sp.kind);
+    const pk::KmerCodec codec(a.size(), sp.k);
+    // Every 3-mer of the reduced alphabet; 2,000 sampled protein 6-mers.
+    std::vector<std::uint64_t> codes;
+    if (codec.space() <= 1000) {
+      for (std::uint64_t v = 0; v < codec.space(); ++v) codes.push_back(v);
+    } else {
+      pastis::util::Xoshiro256 rng(17);
+      for (int i = 0; i < 2000; ++i) codes.push_back(rng.below(codec.space()));
+    }
+    for (const int max_loss : {0, 2, 6, 1 << 20}) {
+      const pk::NeighborGenerator gen(a, codec, scoring, max_loss);
+      const ReferenceNeighbors ref(a, codec, scoring, max_loss);
+      for (const std::uint64_t v : codes) {
+        for (const std::size_t m : {0u, 1u, 2u, 5u, 8u, 13u, 40u}) {
+          expect_same_neighbors(gen.nearest(v, m), ref.nearest(v, m), v, m,
+                                max_loss);
+        }
+      }
+    }
+  }
+}
+
+TEST(Neighbors, LossTieAtCutoffFollowsPopOrderNotCode) {
+  // MKVL under Protein20 with m = 4: more single substitutions tie on the
+  // 4th-place loss than fit. The kept ones are those the best-first
+  // enumeration pops first, not the smallest codes among the tied.
+  const pk::Alphabet a(pk::Alphabet::Kind::kProtein20);
+  const pk::KmerCodec codec(a.size(), 4);
+  const auto scoring = pastis::align::Scoring::pastis_default();
+  const pk::NeighborGenerator gen(a, codec, scoring);
+  const ReferenceNeighbors ref(a, codec, scoring, 1 << 20);
+  std::vector<std::uint8_t> mkvl = {a.encode('M'), a.encode('K'),
+                                    a.encode('V'), a.encode('L')};
+  const auto v = codec.encode(mkvl);
+  const std::size_t m = 4;
+  const auto got = gen.nearest(v, m);
+  expect_same_neighbors(got, ref.nearest(v, m), v, m, 1 << 20);
+
+  // Whole neighbourhood ordered by (loss, code): its first m is what a
+  // code tie-break would select.
+  const auto all = gen.nearest(v, codec.space());
+  ASSERT_EQ(all.size(), codec.space() - 1);
+  ASSERT_EQ(got.size(), m);
+  const int cutoff = got.back().loss;
+  ASSERT_EQ(all[m].loss, cutoff) << "no tie straddles the m-th place";
+  const std::vector<pk::NeighborKmer> by_code(all.begin(), all.begin() + m);
+  bool differs = false;
+  for (std::size_t i = 0; i < m; ++i) {
+    EXPECT_EQ(got[i].loss, by_code[i].loss);
+    differs = differs || got[i].code != by_code[i].code;
+  }
+  EXPECT_TRUE(differs) << "tie resolved by code at this cut-off";
 }

@@ -178,6 +178,42 @@ IntMat transpose_ref(const IntMat& m) {
   return IntMat::from_triples(m.ncols(), m.nrows(), std::move(t));
 }
 
+/// The sort-based transpose SpMat::transposed used before its radix pass:
+/// a sorted, deduplicated copy of the columns is the output directory, a
+/// lower_bound per nonzero finds its slot, and a counting scatter in
+/// row-major order fills the rows.
+IntMat sort_transpose_ref(const IntMat& m) {
+  if (m.empty()) return IntMat(m.ncols(), m.nrows());
+  std::vector<ps::Index> cols;
+  m.for_each([&](ps::Index, ps::Index j, int) { cols.push_back(j); });
+  std::vector<ps::Index> out_rows(cols);
+  std::sort(out_rows.begin(), out_rows.end());
+  out_rows.erase(std::unique(out_rows.begin(), out_rows.end()), out_rows.end());
+  std::vector<ps::Index> slot(cols.size());
+  std::vector<ps::Offset> counts(out_rows.size(), 0);
+  for (std::size_t o = 0; o < cols.size(); ++o) {
+    const auto it = std::lower_bound(out_rows.begin(), out_rows.end(), cols[o]);
+    slot[o] = static_cast<ps::Index>(it - out_rows.begin());
+    ++counts[slot[o]];
+  }
+  std::vector<ps::Offset> ptr(out_rows.size() + 1, 0);
+  for (std::size_t k = 0; k < out_rows.size(); ++k) {
+    ptr[k + 1] = ptr[k] + counts[k];
+  }
+  std::vector<ps::Offset> cursor(ptr.begin(), ptr.end() - 1);
+  std::vector<ps::Index> out_cols(cols.size());
+  std::vector<int> out_vals(cols.size());
+  std::size_t o = 0;
+  m.for_each([&](ps::Index i, ps::Index, int v) {
+    const ps::Offset at = cursor[slot[o++]]++;
+    out_cols[at] = i;
+    out_vals[at] = v;
+  });
+  return IntMat::from_sorted_parts(m.ncols(), m.nrows(), std::move(out_rows),
+                                   std::move(ptr), std::move(out_cols),
+                                   std::move(out_vals));
+}
+
 }  // namespace
 
 TEST(SpMatDirectBuild, FromSortedPartsEqualsFromTriples) {
@@ -220,6 +256,40 @@ TEST(SpMatDirectBuild, TransposedMatchesTripleRebuild) {
   EXPECT_TRUE(h.transposed() == transpose_ref(h));
   const IntMat e(8, 9);
   EXPECT_TRUE(e.transposed() == transpose_ref(e));
+}
+
+TEST(SpMatDirectBuild, RadixTransposeMatchesSortTranspose) {
+  // One-pass (narrow) and two-pass (wide) column spaces, dense and sparse.
+  for (std::uint64_t seed : {4u, 5u}) {
+    for (const double density : {0.02, 0.3}) {
+      const auto m = random_matrix(61, 97, density, seed);
+      EXPECT_TRUE(m.transposed() == sort_transpose_ref(m));
+    }
+  }
+  // Columns spread over the full 32-bit range (two 16-bit digits) with
+  // equal low digits, so the second pass must keep the first pass's order.
+  pastis::util::Xoshiro256 rng(6);
+  Triples wide;
+  const ps::Index ncols = 4294967295u;  // 2^32 - 1: the largest column is 2^32 - 2
+  for (ps::Index i = 0; i < 300; ++i) {
+    for (int e = 0; e < 4; ++e) {
+      const auto hi = static_cast<ps::Index>(rng.below(65536));
+      const auto lo = static_cast<ps::Index>(rng.below(4));
+      wide.push_back({i, std::min<ps::Index>((hi << 16) | lo, ncols - 1),
+                      static_cast<int>(i) * 4 + e});
+    }
+  }
+  wide.push_back({7, ncols - 1, -1});
+  const auto w = IntMat::from_triples(300, ncols, wide);
+  EXPECT_TRUE(w.transposed() == sort_transpose_ref(w));
+  EXPECT_TRUE(w.transposed().transposed() == w);
+  // A single column and a single nonzero.
+  const auto col0 = IntMat::from_triples(9, 1, Triples{{2, 0, 5}, {8, 0, 6}});
+  EXPECT_TRUE(col0.transposed() == sort_transpose_ref(col0));
+  const auto one = IntMat::from_triples(3, 70000, Triples{{1, 69999, 4}});
+  EXPECT_TRUE(one.transposed() == sort_transpose_ref(one));
+  const IntMat e(0, ncols);
+  EXPECT_TRUE(e.transposed() == sort_transpose_ref(e));
 }
 
 TEST(SpMatDirectBuild, PrunedMatchesTripleRebuild) {
