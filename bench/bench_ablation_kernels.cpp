@@ -5,6 +5,7 @@
 // host, which is useful when re-calibrating sim/machine_model.hpp.
 #include <benchmark/benchmark.h>
 
+#include "oracle/spgemm_hash.hpp"
 #include "pastis.hpp"
 
 using namespace pastis;
@@ -132,20 +133,6 @@ void BM_SpGemmHash(benchmark::State& state) {
       static_cast<double>(stats.products), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SpGemmHash)->Arg(512)->Arg(2048)->Arg(8192);
-
-void BM_SpGemmHeap(benchmark::State& state) {
-  const auto n = static_cast<sparse::Index>(state.range(0));
-  const auto A = random_sparse(n, 0.01, 49);
-  const auto B = random_sparse(n, 0.01, 50);
-  sparse::SpGemmStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sparse::spgemm_heap<sparse::PlusTimes<int>>(A, B, &stats));
-  }
-  state.counters["products/s"] = benchmark::Counter(
-      static_cast<double>(stats.products), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SpGemmHeap)->Arg(512)->Arg(2048);
 
 void BM_SpGemmHash2Phase(benchmark::State& state) {
   const auto n = static_cast<sparse::Index>(state.range(0));

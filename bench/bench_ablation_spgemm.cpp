@@ -1,13 +1,14 @@
-// Ablation: the SpGEMM kernel choice (hash vs heap) and the compression
-// factor of candidate discovery.
+// Ablation: the two-phase SpGEMM kernel against the serial hash oracle,
+// and the compression factor of candidate discovery.
 //
 // DESIGN.md calls out two design decisions this bench justifies:
-//   * hash accumulation as the default local kernel (CombBLAS's choice for
+//   * hash accumulation as the local kernel (CombBLAS's choice for
 //     short hypersparse rows, after Nagasaka et al.);
 //   * §V-B's memory discussion: the compression factor (intermediate
 //     products per output nonzero) stays in the single digits on
 //     genomics-like data, which is what makes blocked formation worthwhile.
 #include "bench_common.hpp"
+#include "oracle/spgemm_hash.hpp"
 
 using namespace pastis;
 using namespace pastis::bench;
@@ -18,8 +19,7 @@ int main(int argc, char** argv) {
 
   util::banner("ablation — SpGEMM kernels on the overlap product");
   util::TextTable t({"seqs", "A nnz", "products", "C nnz", "compression",
-                     "hash wall (s)", "heap wall (s)", "hash2p wall (s)",
-                     "hash2p/hash"});
+                     "hash wall (s)", "hash2p wall (s)", "hash2p/hash"});
 
   ShapeChecks sc;
   for (std::uint32_t n : {base, base * 2, base * 4}) {
@@ -33,13 +33,10 @@ int main(int argc, char** argv) {
     const auto& a_local = A.local(0);
     const auto& b_local = B.local(0);
 
-    sparse::SpGemmStats hs, ps, ts;
+    sparse::SpGemmStats hs, ts;
     util::Timer th;
     auto Ch = sparse::spgemm_hash<core::OverlapSemiring>(a_local, b_local, &hs);
     const double hash_wall = th.seconds();
-    util::Timer tp;
-    auto Cp = sparse::spgemm_heap<core::OverlapSemiring>(a_local, b_local, &ps);
-    const double heap_wall = tp.seconds();
     util::Timer t2;
     auto C2 = sparse::spgemm_hash2p<core::OverlapSemiring>(
         a_local, b_local, &ts, &util::ThreadPool::global());
@@ -47,10 +44,9 @@ int main(int argc, char** argv) {
 
     t.add_row({std::to_string(n), util::with_commas(info.nnz),
                util::with_commas(hs.products), util::with_commas(hs.out_nnz),
-               f2(hs.compression_factor()), f4(hash_wall), f4(heap_wall),
-               f4(hash2p_wall), f2(hash2p_wall / hash_wall)});
+               f2(hs.compression_factor()), f4(hash_wall), f4(hash2p_wall),
+               f2(hash2p_wall / hash_wall)});
 
-    sc.check(Ch == Cp, "hash and heap kernels agree at n=" + std::to_string(n));
     sc.check(Ch == C2,
              "two-phase kernel bit-identical at n=" + std::to_string(n));
     sc.check(hs.compression_factor() > 1.0 &&

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "bench_common.hpp"
+#include "oracle/spgemm_hash.hpp"
 
 using namespace pastis;
 using namespace pastis::bench;
@@ -51,16 +52,13 @@ int main(int argc, char** argv) {
 
   ShapeChecks sc;
 
-  // Serial oracles.
+  // Serial oracle.
   sparse::SpGemmStats hs;
   sparse::SpMat<core::CommonKmers> Ch;
   const double hash_s = best_seconds(reps, [&] {
     sparse::SpGemmStats s;
     Ch = sparse::spgemm_hash<core::OverlapSemiring>(a_local, b_local, &s);
     hs = s;
-  });
-  const double heap_s = best_seconds(reps, [&] {
-    (void)sparse::spgemm_heap<core::OverlapSemiring>(a_local, b_local);
   });
 
   std::printf("seqs %u   A nnz %s   products %s   C nnz %s\n\n",
@@ -75,9 +73,6 @@ int main(int argc, char** argv) {
   };
   t.add_row({"hash (serial)", "1", f4(hash_s), util::with_commas(
                  static_cast<std::uint64_t>(pps(hash_s))), "1.00"});
-  t.add_row({"heap (serial)", "1", f4(heap_s), util::with_commas(
-                 static_cast<std::uint64_t>(pps(heap_s))),
-             f2(hash_s / heap_s)});
 
   struct Point {
     std::size_t threads;
@@ -131,7 +126,6 @@ int main(int argc, char** argv) {
         << "  \"products\": " << hs.products << ",\n"
         << "  \"out_nnz\": " << hs.out_nnz << ",\n"
         << "  \"serial_hash_seconds\": " << hash_s << ",\n"
-        << "  \"serial_heap_seconds\": " << heap_s << ",\n"
         << "  \"hash2p\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
       out << "    {\"threads\": " << points[i].threads

@@ -60,10 +60,8 @@ void run_chunks(util::ThreadPool* pool, std::size_t n_chunks, Fn&& fn) {
   }
 }
 
-std::size_t pass_threads(util::ThreadPool* pool, int max_threads) {
-  std::size_t t = pool != nullptr ? pool->size() : 1;
-  if (max_threads > 0) t = std::min(t, static_cast<std::size_t>(max_threads));
-  return t;
+std::size_t pass_threads(util::ThreadPool* pool) {
+  return pool != nullptr ? pool->size() : 1;
 }
 
 /// Column-stochastic flow matrix of `g` (stored transposed: DCSR row j is
@@ -230,10 +228,10 @@ struct ColumnEpilogue {
 /// ColumnEpilogue per row. Chunking is scheduling only; the chunk index is
 /// the epilogue lane. Chaos lands in epi.col_chaos (scan it afterwards).
 SpMat<float> inflate_prune(const SpMat<float>& E, const ColumnEpilogue& epi,
-                           util::ThreadPool* pool, int max_threads) {
+                           util::ThreadPool* pool) {
   const std::size_t n_rows = E.n_nonempty_rows();
   const std::vector<std::size_t> bounds =
-      row_chunks(n_rows, pass_threads(pool, max_threads));
+      row_chunks(n_rows, pass_threads(pool));
   const std::size_t n_chunks = bounds.empty() ? 0 : bounds.size() - 1;
 
   struct ChunkOut {
@@ -339,10 +337,10 @@ struct MaskCounts {
 /// would race with it).
 MaskCounts build_skip_mask(const SpMat<float>& M, Index row_offset,
                            std::uint32_t after, MclBuffers& buf,
-                           util::ThreadPool* pool, int max_threads) {
+                           util::ThreadPool* pool) {
   const std::size_t n_rows = M.n_nonempty_rows();
   const std::vector<std::size_t> bounds =
-      row_chunks(n_rows, pass_threads(pool, max_threads));
+      row_chunks(n_rows, pass_threads(pool));
   const std::size_t n_chunks = bounds.empty() ? 0 : bounds.size() - 1;
   std::vector<MaskCounts> parts(n_chunks);
   run_chunks(pool, n_chunks, [&](std::size_t c) {
@@ -581,8 +579,6 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
   });
   M0 = SpMat<float>();
 
-  const bool fused =
-      opt.fused && opt.kernel == sparse::SpGemmKernel::kHash2Phase;
   const bool dropout = opt.dropout_iterations != 0;
   const double drop_eps =
       opt.dropout_epsilon > 0.0 ? opt.dropout_epsilon : opt.chaos_epsilon;
@@ -620,7 +616,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
         const auto ri = static_cast<std::size_t>(r);
         const Index r0 = sim::ProcGrid::split_point(n, p, r);
         rank_mc[ri] = build_skip_mask(stripes[ri], r0,
-                                      opt.dropout_iterations, buf, nullptr, 0);
+                                      opt.dropout_iterations, buf, nullptr);
       });
       std::size_t total_rows = 0;
       for (int r = 0; r < p; ++r) {
@@ -710,9 +706,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
 
     const std::uint64_t products_before = st.spgemm.products;
     dist::SummaOptions sopt;
-    sopt.kernel = opt.kernel;
     sopt.pool = pool;
-    sopt.spgemm_threads = opt.max_threads;
     sopt.gather_stages = true;  // bitwise-exact float fold (see summa.hpp)
     auto Ed = dist::summa<sparse::PlusTimes<float>>(rt, A_op, Md, sopt,
                                                     &st.spgemm);
@@ -784,7 +778,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
     // the pruned stripe materializes) or as the rank-local sweep over the
     // gathered stripe. Row-identical to the shared-memory pass either way.
     std::vector<SpMat<float>> pruned_stripes;
-    if (fused) {
+    if (opt.fused) {
       obs::Span fspan(opt.telemetry.tracer, "mcl.fused_epilogue");
       fspan.arg("pre_nnz", static_cast<double>(e_nnz));
       fspan.arg("dropout_columns", static_cast<double>(is.dropout_columns));
@@ -817,7 +811,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
         ColumnEpilogue repi = epi;
         repi.row_offset = r0;  // stripe-local rows -> global columns
         repi.lane_base = ri;   // serial sweep -> chunk 0 -> this rank's lane
-        pruned_stripes[ri] = inflate_prune(e_stripes[ri], repi, nullptr, 0);
+        pruned_stripes[ri] = inflate_prune(e_stripes[ri], repi, nullptr);
         e_stripes[ri] = SpMat<float>();
         auto& clock = rt.clock(r);
         clock.charge(
@@ -897,8 +891,6 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     return canonicalize(labels);
   }
 
-  const bool fused =
-      opt.fused && opt.kernel == sparse::SpGemmKernel::kHash2Phase;
   const bool dropout = opt.dropout_iterations != 0;
   const double drop_eps =
       opt.dropout_epsilon > 0.0 ? opt.dropout_epsilon : opt.chaos_epsilon;
@@ -912,7 +904,7 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     buf.prev_skip.assign(n, 0);
   }
   buf.lanes.resize(
-      std::max<std::size_t>(1, pass_threads(pool, opt.max_threads)));
+      std::max<std::size_t>(1, pass_threads(pool)));
 
   std::uint32_t cap = opt.max_column_entries;
   const ColumnEpilogue epi{opt.inflation,
@@ -933,8 +925,7 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     MclIterationStats is;
     MaskCounts mc;
     if (dropout) {
-      mc = build_skip_mask(M, 0, opt.dropout_iterations, buf, pool,
-                           opt.max_threads);
+      mc = build_skip_mask(M, 0, opt.dropout_iterations, buf, pool);
       bump_frozen_streaks(M, 0, buf);
       if (mc.skipped == M.n_nonempty_rows()) {
         // Every column froze below the dropout epsilon: the flow is
@@ -977,12 +968,12 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     // the numeric phase, one DCSR write per iteration) or as the classic
     // expand-then-sweep with the same epilogue.
     SpMat<float> P;  // the pruned update (active columns only when masked)
-    if (fused) {
+    if (opt.fused) {
       obs::Span fspan(opt.telemetry.tracer, "mcl.fused_epilogue");
       sparse::FusedExpandInfo finfo;
       P = sparse::spgemm_hash2p_fused<sparse::PlusTimes<float>>(
           M, M, epi, tighten, dropout ? buf.skip.data() : nullptr, &buf.ws,
-          &finfo, &st.spgemm, pool, opt.max_threads, opt.telemetry);
+          &finfo, &st.spgemm, pool, opt.telemetry);
       fspan.arg("pre_nnz", static_cast<double>(finfo.pre_nnz));
       fspan.arg("kept_nnz", static_cast<double>(P.nnz()));
       fspan.arg("dropout_columns", static_cast<double>(is.dropout_columns));
@@ -993,10 +984,10 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
             [&](Index r, Index, float) { return buf.skip[r] == 0; });
       }
       const SpMat<float>& A = masked ? A_active : M;
-      SpMat<float> E = sparse::spgemm<sparse::PlusTimes<float>>(
-          A, M, opt.kernel, &st.spgemm, pool, opt.max_threads, opt.telemetry);
+      SpMat<float> E = sparse::spgemm_hash2p<sparse::PlusTimes<float>>(
+          A, M, &st.spgemm, pool, opt.telemetry);
       tighten(E.n_nonempty_rows(), E.nnz());
-      P = inflate_prune(E, epi, pool, opt.max_threads);
+      P = inflate_prune(E, epi, pool);
     }
     is.expansion_products = st.spgemm.products - products_before;
 

@@ -13,7 +13,6 @@
 #include "kmer/alphabet.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/fault.hpp"
-#include "sparse/spgemm.hpp"
 
 namespace pastis::core {
 
@@ -81,35 +80,14 @@ struct PastisConfig {
   /// streaming reduction only needs O(ranks × depth) state, and the dense
   /// n_blocks × p matrices are pure reporting overhead.
   bool collect_rank_block_timeline = false;
-  /// Local SpGEMM kernel for candidate discovery. The two-phase
-  /// symbolic/numeric kernel is the default (bit-identical to the serial
-  /// hash/heap oracles for any thread count); kHash/kHeap remain as
-  /// cross-check and ablation kernels.
-  sparse::SpGemmKernel spgemm_kernel = sparse::SpGemmKernel::kHash2Phase;
-  /// Host threads one two-phase SpGEMM call may fan out to (0 = the whole
-  /// pool). Purely a scheduling knob: results are thread-count invariant.
-  int spgemm_threads = 0;
 
   // --- distributed memory model (rank-resident serving + clustering) --------
-  /// Side of the simulated serving grid: the QueryEngine places index
-  /// shards on side² ranks (round-robin by postings bytes + greedy
-  /// rebalance) and serves each batch through SimRuntime rank tasks
-  /// against rank-RESIDENT shard stripes. 0 keeps the legacy
-  /// single-address-space serve; hits are bit-identical either way.
-  int grid_side_serving = 0;
   /// Per-rank resident-bytes budget of the distributed paths: shard
   /// placements (serving) and per-iteration tile+stripe footprints
   /// (distributed MCL) whose modeled resident bytes would exceed any
   /// rank's budget are rejected/tightened. 0 = unbounded; unset inherits
   /// through the chain documented at effective_rank_memory_budget().
   std::uint64_t rank_memory_budget_bytes = 0;
-  /// Replication factor of the serving shard placement: each shard stays
-  /// resident on this many distinct ranks. Replicas cost resident bytes on
-  /// their ranks and shrink the modeled query-broadcast team — and under a
-  /// fault plan they TAKE OVER a dead primary's shards (failover), so with
-  /// replication >= 2 a single rank death loses zero hits. Without faults
-  /// replicas never compute and results are unchanged.
-  int shard_replication = 1;
 
   // --- fault tolerance (sim/fault.hpp, exec/retry.hpp) -----------------------
   /// Planned rank faults (deaths / slowdowns / message drops) injected
@@ -146,13 +124,11 @@ struct PastisConfig {
   /// QueryEngine, SpGEMM, BatchAligner, MCL via run_and_cluster).
   obs::Telemetry telemetry;
 
-  /// MCL knobs for cluster::Method::kMarkov. Threads/memory budget left
-  /// at defaults inherit spgemm_threads / exec_memory_budget_bytes (see
-  /// run_and_cluster); mcl.kernel picks the expansion kernel directly
-  /// (the parallel two-phase kernel by default). Caution: unlike
-  /// everywhere else, a memory budget changes MCL *results* — it
-  /// deterministically tightens the per-column prune cap when an
-  /// iteration's resident bytes exceed it.
+  /// MCL knobs for cluster::Method::kMarkov. A memory budget left at its
+  /// default inherits exec_memory_budget_bytes (see run_and_cluster).
+  /// Caution: unlike everywhere else, a memory budget changes MCL
+  /// *results* — it deterministically tightens the per-column prune cap
+  /// when an iteration's resident bytes exceed it.
   cluster::MclOptions mcl;
 
   [[nodiscard]] int n_blocks() const { return block_rows * block_cols; }

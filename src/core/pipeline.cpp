@@ -223,7 +223,9 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         BlockSlot& s = slots[si];
         s.reset(p);
         const BlockInfo& blk = plan.blocks()[bi];
-        dist::SummaOptions opt = discovery_summa_options(cfg, pool_);
+        // Multiply and stage merge both charge kSpGemm (the defaults).
+        dist::SummaOptions opt;
+        opt.pool = pool_;
         opt.clocks = s.frame.data();
         s.C = dist::summa<OverlapSemiring>(
             rt, stripes_a[static_cast<std::size_t>(blk.r)],
@@ -448,16 +450,13 @@ ClusteredSearchResult SimilaritySearch::run_and_cluster(
     return out;  // stage skipped: clustering stays empty (method kNone)
   }
 
-  // Unset MCL knobs inherit the pipeline's executor knobs: the expansion
-  // is the same SpGEMM workload, the budget the same host gate. The
-  // kernel is cfg.mcl.kernel's to choose (kHash2Phase by default). Note
-  // the budget is NOT schedule-only for MCL — it deterministically
-  // tightens the column cap (see MclOptions::memory_budget_bytes); set
-  // cfg.mcl.memory_budget_bytes explicitly to decouple the two. All
-  // budget fallbacks resolve through the PastisConfig helpers (the one
-  // documented inheritance chain).
+  // Unset MCL knobs inherit the pipeline's: the budget is the same host
+  // gate, the telemetry the same sinks. Note the budget is NOT
+  // schedule-only for MCL — it deterministically tightens the column cap
+  // (see MclOptions::memory_budget_bytes); set cfg.mcl.memory_budget_bytes
+  // explicitly to decouple the two. All budget fallbacks resolve through
+  // the PastisConfig helpers (the one documented inheritance chain).
   cluster::MclOptions mcl = config_.mcl;
-  if (mcl.max_threads == 0) mcl.max_threads = config_.spgemm_threads;
   if (!mcl.telemetry.enabled()) mcl.telemetry = config_.telemetry;
   mcl.memory_budget_bytes = config_.effective_mcl_memory_budget();
   if (mcl.distributed && mcl.rank_memory_budget_bytes == 0) {

@@ -30,7 +30,6 @@
 #include "align/cascade.hpp"
 #include "core/common_kmers.hpp"
 #include "core/config.hpp"
-#include "dist/summa.hpp"
 #include "io/graph_io.hpp"
 #include "kmer/codec.hpp"
 #include "kmer/nearest.hpp"
@@ -169,25 +168,17 @@ struct AlignScratch {
 [[nodiscard]] align::BatchAligner make_batch_aligner(
     const PastisConfig& cfg, const sim::MachineModel& model);
 
-/// Local candidate-discovery SpGEMM configured from the search parameters
-/// (kernel choice + two-phase threading knob in one place). Every local
-/// discovery multiply — the engine's shard products, the baselines, ad-hoc
-/// tools — should dispatch through here so a config change reaches all of
-/// them.
+/// Local candidate-discovery SpGEMM: the two-phase kernel on `pool`,
+/// instrumented with the config's telemetry. Every local discovery
+/// multiply — the engine's shard products, the baselines, ad-hoc tools —
+/// goes through here so all of them record the same SpGEMM metrics.
 template <sparse::SemiringLike SR>
 [[nodiscard]] sparse::SpMat<typename SR::value_type> discovery_spgemm(
     const sparse::SpMat<typename SR::left_type>& a,
     const sparse::SpMat<typename SR::right_type>& b, const PastisConfig& cfg,
     sparse::SpGemmStats* stats = nullptr, util::ThreadPool* pool = nullptr) {
-  return sparse::spgemm<SR>(a, b, cfg.spgemm_kernel, stats, pool,
-                            cfg.spgemm_threads, cfg.telemetry);
+  return sparse::spgemm_hash2p<SR>(a, b, stats, pool, cfg.telemetry);
 }
-
-/// SUMMA options for candidate discovery (the distributed analogue of
-/// discovery_spgemm): kernel choice and threading knob configured once for
-/// the pipeline's block loop and any other SUMMA consumer.
-[[nodiscard]] dist::SummaOptions discovery_summa_options(
-    const PastisConfig& cfg, util::ThreadPool* pool);
 
 /// The similarity edge for an aligned pair, or nullopt if it fails the
 /// ANI/coverage thresholds (Table IV: 0.30 / 0.70).

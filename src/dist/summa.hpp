@@ -25,7 +25,6 @@
 namespace pastis::dist {
 
 struct SummaOptions {
-  sparse::SpGemmKernel kernel = sparse::SpGemmKernel::kHash2Phase;
   /// Component the broadcasts + local multiplies are charged to.
   sim::Comp charge = sim::Comp::kSpGemm;
   /// Component the stage merge is charged to.
@@ -34,8 +33,6 @@ struct SummaOptions {
   /// serial; the rank lambdas themselves already run on the host pool, and
   /// nested parallel_for is safe — idle workers steal chunks).
   util::ThreadPool* pool = nullptr;
-  /// Per-call thread cap for the two-phase kernel (0 = whole pool).
-  int spgemm_threads = 0;
   /// Charge sink: when non-null, per-rank charges and counters go to
   /// `clocks[rank]` instead of the runtime's clocks. The streaming
   /// executor points this at a stage-slot clock frame so concurrently
@@ -49,7 +46,7 @@ struct SummaOptions {
   /// and modeled broadcast charges; what changes is the floating-point
   /// fold: every C(i,j) accumulates its products in ascending-k order
   /// exactly like a single-address-space SpGEMM, so the result is bitwise
-  /// identical to the serial kernel even for order-SENSITIVE adds
+  /// identical to the local kernel even for order-SENSITIVE adds
   /// (PlusTimes<float> — the distributed MCL expansion). The staged merge
   /// stays the default: it holds one stage pair at a time, the
   /// memory-frugal schedule, and is already exact for the
@@ -99,8 +96,7 @@ template <sparse::SemiringLike SR>
       auto& out = C.local(rank);
       if (!a_strip.empty() && !b_strip.empty()) {
         sparse::SpGemmStats stage;
-        out = sparse::spgemm<SR>(a_strip, b_strip, opt.kernel, &stage,
-                                 opt.pool, opt.spgemm_threads);
+        out = sparse::spgemm_hash2p<SR>(a_strip, b_strip, &stage, opt.pool);
         clock.charge(opt.charge, rt.model().spgemm_time(stage.products));
         clock.spgemm_products += stage.products;
         rstats.merge(stage);
@@ -127,8 +123,8 @@ template <sparse::SemiringLike SR>
 
       if (a_tile.empty() || b_tile.empty()) continue;
       sparse::SpGemmStats stage;
-      parts.push_back(sparse::spgemm<SR>(a_tile, b_tile, opt.kernel, &stage,
-                                         opt.pool, opt.spgemm_threads));
+      parts.push_back(
+          sparse::spgemm_hash2p<SR>(a_tile, b_tile, &stage, opt.pool));
       part_bytes += parts.back().bytes();
       clock.charge(opt.charge, rt.model().spgemm_time(stage.products));
       clock.spgemm_products += stage.products;

@@ -130,15 +130,14 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
   if (opt_.pipeline_depth < 1) {
     throw std::invalid_argument("QueryEngine: need pipeline_depth >= 1");
   }
+  if (opt_.grid_side < 0) {
+    throw std::invalid_argument("QueryEngine: need grid_side >= 0");
+  }
   cascade_sig_ = cfg_.cascade.fingerprint();
   next_query_id_ = total_refs();
 
   // ---- rank-resident distributed serving setup ----------------------------
-  // Unset Options inherit the PastisConfig knobs (grid_side_serving /
-  // shard_replication / the effective_rank_memory_budget chain).
-  if (opt_.grid_side == 0) opt_.grid_side = cfg_.grid_side_serving;
-  if (opt_.replication == 0) opt_.replication = cfg_.shard_replication;
-  if (opt_.replication == 0) opt_.replication = 1;
+  // An unset rank budget inherits the effective_rank_memory_budget chain.
   if (opt_.grid_side >= 1) {
     rt_ = std::make_unique<sim::SimRuntime>(
         opt_.grid_side * opt_.grid_side, model_,

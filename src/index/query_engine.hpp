@@ -213,22 +213,22 @@ class QueryEngine {
     /// are bit-identical for any depth; the constructor rejects < 1.
     int pipeline_depth = 2;
 
-    // --- rank-resident distributed serving (PastisConfig knobs:
-    // grid_side_serving / shard_replication / rank_memory_budget_bytes) ------
+    // --- rank-resident distributed serving ---------------------------------
     /// >= 1 serves over a grid_side × grid_side SimRuntime grid: shards
     /// become RANK-RESIDENT (ShardPlacement: round-robin by postings
     /// bytes + greedy rebalance), each batch runs as rank tasks (query
     /// stripe broadcast, per-rank shard multiplies and merge, owner-side
     /// top-k) and per-rank residency is ledgered and budget-gated. 0
-    /// keeps the single-address-space serve. Hits are bit-identical
-    /// either way, for any grid side.
+    /// keeps the single-address-space serve; the constructor rejects < 0.
+    /// Hits are bit-identical either way, for any grid side.
     int grid_side = 0;
-    /// Copies of each shard kept resident (availability): extra resident
-    /// bytes on the replica ranks, a 1/replication broadcast team for the
-    /// query stripe. Replicas never compute — results are unaffected.
-    /// 0 defers to PastisConfig::shard_replication; an explicit 1 opts
-    /// out of replication regardless of the config.
-    int replication = 0;
+    /// Copies of each shard kept resident on distinct ranks (grid mode
+    /// only; must lie in [1, grid_side²]): extra resident bytes on the
+    /// replica ranks, a 1/replication broadcast team for the query stripe.
+    /// Without faults replicas never compute — results are unaffected;
+    /// under a fault plan they take over a dead primary's shards, so with
+    /// replication >= 2 a single rank death loses zero hits.
+    int replication = 1;
     /// Per-rank resident budget: the engine refuses construction when the
     /// static placement exceeds it on any rank, and serve() enforces it
     /// against placement + the depth-windowed batch workspace. 0 defers

@@ -1,22 +1,18 @@
-// Semiring SpGEMM kernels (one rank's local work).
+// Semiring SpGEMM (one rank's local work).
 //
-// Three kernels are provided, mirroring the CPU SpGEMM literature the
-// paper builds on [Nagasaka et al., ICPP'18; CombBLAS 2.0]:
-//   * hash2p — two-phase symbolic/numeric hash kernel (default): a
-//              count-only symbolic pass computes exact per-row output
-//              sizes, an exact prefix sum pre-sizes the DCSR arrays, and
-//              the numeric pass writes columns/values directly into their
-//              final positions — no triple intermediary, no global sort,
-//              no per-row allocations. Both passes run thread-parallel
-//              over flop-balanced row ranges on a util::ThreadPool, and
-//              per-product row lookups go through a precomputed B-row
-//              directory instead of a binary search. Output is
-//              bit-identical to the serial kernels for any thread count.
-//   * hash   — serial open-addressing accumulator per output row (the
-//              cross-check oracle the two-phase kernel must match).
-//   * heap   — serial k-way merge of B rows (predictable memory; second
-//              oracle and ablation kernel).
-// All are exact over any semiring; tests assert they agree.
+// One kernel, the two-phase symbolic/numeric hash SpGEMM of the CPU SpGEMM
+// literature the paper builds on [Nagasaka et al., ICPP'18; CombBLAS 2.0]:
+// a count-only symbolic pass computes exact per-row output sizes, an exact
+// prefix sum pre-sizes the DCSR arrays, and the numeric pass writes
+// columns/values directly into their final positions — no triple
+// intermediary, no global sort, no per-row allocations. Both passes run
+// thread-parallel over flop-balanced row ranges on a util::ThreadPool, and
+// per-product row lookups go through a precomputed B-row directory instead
+// of a binary search. spgemm_hash2p_fused is the same kernel with a per-row
+// epilogue folded into the numeric pass (the MCL expansion). Output is
+// exact over any semiring and bit-identical for any thread count; the
+// tests check it against a dense multiply and against the serial hash
+// oracle kept under tests/oracle/.
 #pragma once
 
 #include <chrono>
@@ -35,10 +31,6 @@
 #include "util/thread_pool.hpp"
 
 namespace pastis::sparse {
-
-enum class SpGemmKernel { kHash, kHeap, kHash2Phase };
-
-[[nodiscard]] std::string to_string(SpGemmKernel k);
 
 /// Work counters for one or more SpGEMM calls. `products` is the number of
 /// semiring multiplies (the "flops" of the paper's cost discussion); the
@@ -285,64 +277,6 @@ inline std::vector<std::size_t> flop_chunks(
 
 }  // namespace detail
 
-/// C = A ·_SR B with a serial hash accumulator. A is M×K, B is K×N; C is
-/// M×N. Kept as the primary cross-check oracle for the two-phase kernel.
-template <SemiringLike SR>
-[[nodiscard]] SpMat<typename SR::value_type> spgemm_hash(
-    const SpMat<typename SR::left_type>& A,
-    const SpMat<typename SR::right_type>& B, SpGemmStats* stats = nullptr) {
-  using V = typename SR::value_type;
-  if (A.ncols() != B.nrows()) {
-    throw std::invalid_argument("spgemm: inner dimensions disagree");
-  }
-
-  std::vector<Triple<V>> out;  // row-major by construction
-  detail::HashAccumulator<V> acc;
-  std::vector<Index> cols;  // per-row drain buffers, reused across rows
-  std::vector<V> vals;
-
-  for (std::size_t ka = 0; ka < A.n_nonempty_rows(); ++ka) {
-    const Index i = A.row_id(ka);
-    // Upper bound on the row's intermediate products, for table sizing.
-    std::size_t expected = 0;
-    for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-      const std::size_t kb = B.find_row(A.col(o));
-      if (kb != SpMat<typename SR::right_type>::npos) {
-        expected += static_cast<std::size_t>(B.row_end(kb) - B.row_begin(kb));
-      }
-    }
-    if (expected == 0) continue;
-    acc.begin_row(expected);
-
-    std::uint64_t row_products = 0;
-    for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-      const Index k = A.col(o);
-      const std::size_t kb = B.find_row(k);
-      if (kb == SpMat<typename SR::right_type>::npos) continue;
-      const auto& aval = A.val(o);
-      for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
-        acc.template add<SR>(B.col(ob), SR::multiply(aval, B.val(ob)));
-        ++row_products;
-      }
-    }
-
-    // Drain the accumulator into triples for this row.
-    cols.clear();
-    vals.clear();
-    acc.extract_sorted(cols, vals);
-    for (std::size_t t = 0; t < cols.size(); ++t) {
-      out.push_back({i, cols[t], vals[t]});
-    }
-    if (stats != nullptr) stats->products += row_products;
-  }
-  if (stats != nullptr) {
-    stats->out_nnz += out.size();
-    ++stats->calls;
-  }
-  // Triples are already (row, col)-sorted and unique; build directly.
-  return SpMat<V>::from_triples(A.nrows(), B.ncols(), std::move(out));
-}
-
 /// C = A ·_SR B with the two-phase symbolic/numeric hash kernel.
 ///
 /// Phase 1 (symbolic) runs the hash accumulator in count-only mode to get
@@ -351,16 +285,14 @@ template <SemiringLike SR>
 /// values and writes each row's sorted entries directly into its final
 /// [offset, offset + nnz) slice — no Triple intermediary, no global
 /// re-sort, no per-row allocations. Both phases are parallelized over
-/// `pool` in contiguous row ranges balanced by accumulated flops
-/// (`max_threads` caps the ranges; 0 means the pool size); every range
-/// writes disjoint state, so the result is bit-identical to spgemm_hash
-/// for ANY thread count, including pool == nullptr (serial).
+/// `pool` in contiguous row ranges balanced by accumulated flops, one
+/// range per pool thread; every range writes disjoint state, so the result
+/// is bit-identical for ANY pool size, including pool == nullptr (serial).
 template <SemiringLike SR>
 [[nodiscard]] SpMat<typename SR::value_type> spgemm_hash2p(
     const SpMat<typename SR::left_type>& A,
     const SpMat<typename SR::right_type>& B, SpGemmStats* stats = nullptr,
-    util::ThreadPool* pool = nullptr, int max_threads = 0,
-    const obs::Telemetry& telem = {}) {
+    util::ThreadPool* pool = nullptr, const obs::Telemetry& telem = {}) {
   using V = typename SR::value_type;
   if (A.ncols() != B.nrows()) {
     throw std::invalid_argument("spgemm: inner dimensions disagree");
@@ -434,9 +366,6 @@ template <SemiringLike SR>
   }
 
   std::size_t threads = pool != nullptr ? pool->size() : 1;
-  if (max_threads > 0) {
-    threads = std::min(threads, static_cast<std::size_t>(max_threads));
-  }
   // Tiny multiplies are not worth fan-out (a SUMMA stage on a small tile).
   if (total_flops < (1u << 14)) threads = 1;
   const std::vector<std::size_t> bounds = detail::flop_chunks(flops, threads);
@@ -602,8 +531,7 @@ inline constexpr std::uint64_t kFusedEpilogueWeight = 16;
 /// `chunk` identifies the scheduling chunk for per-chunk caller scratch; it
 /// is scheduling-only, so determinism requires the epilogue's OUTPUT be a
 /// pure function of (row_id, cols, vals, nnz). Under that contract the
-/// result is bit-identical for any pool size, thread cap, or workspace
-/// reuse — the MCL inflate/prune/chaos pass satisfies it by construction.
+/// result is bit-identical for any pool size or workspace reuse — the MCL inflate/prune/chaos pass satisfies it by construction.
 ///
 /// `on_symbolic(pre_rows, pre_nnz)` is invoked exactly once per call —
 /// after the symbolic pass, before any epilogue runs (with zeros on the
@@ -632,8 +560,7 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
     OnSymbolic&& on_symbolic, const std::uint8_t* skip_rows = nullptr,
     SpGemmWorkspace<typename SR::value_type>* ws = nullptr,
     FusedExpandInfo* info = nullptr, SpGemmStats* stats = nullptr,
-    util::ThreadPool* pool = nullptr, int max_threads = 0,
-    const obs::Telemetry& telem = {}) {
+    util::ThreadPool* pool = nullptr, const obs::Telemetry& telem = {}) {
   using V = typename SR::value_type;
   if (A.ncols() != B.nrows()) {
     throw std::invalid_argument("spgemm: inner dimensions disagree");
@@ -706,9 +633,6 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
   if (total_flops == 0) return empty_result();
 
   std::size_t threads = pool != nullptr ? pool->size() : 1;
-  if (max_threads > 0) {
-    threads = std::min(threads, static_cast<std::size_t>(max_threads));
-  }
   if (total_flops < (1u << 14)) threads = 1;
 
   auto run_chunks = [&](const std::vector<std::size_t>& bounds,
@@ -872,94 +796,6 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
                                      std::move(out_row_ids),
                                      std::move(out_row_ptr),
                                      std::move(out_cols), std::move(out_vals));
-}
-
-/// C = A ·_SR B with a k-way heap merge per output row.
-template <SemiringLike SR>
-[[nodiscard]] SpMat<typename SR::value_type> spgemm_heap(
-    const SpMat<typename SR::left_type>& A,
-    const SpMat<typename SR::right_type>& B, SpGemmStats* stats = nullptr) {
-  using V = typename SR::value_type;
-  if (A.ncols() != B.nrows()) {
-    throw std::invalid_argument("spgemm: inner dimensions disagree");
-  }
-
-  struct Cursor {
-    Offset pos;
-    Offset end;
-    Offset a_off;  // nonzero of A providing the left operand
-  };
-
-  std::vector<Triple<V>> out;
-  std::vector<Cursor> cursors;
-  std::vector<std::size_t> heap;  // reused across rows
-
-  for (std::size_t ka = 0; ka < A.n_nonempty_rows(); ++ka) {
-    const Index i = A.row_id(ka);
-    cursors.clear();
-    for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-      const std::size_t kb = B.find_row(A.col(o));
-      if (kb == SpMat<typename SR::right_type>::npos) continue;
-      if (B.row_begin(kb) < B.row_end(kb)) {
-        cursors.push_back({B.row_begin(kb), B.row_end(kb), o});
-      }
-    }
-    if (cursors.empty()) continue;
-
-    auto heap_less = [&](std::size_t x, std::size_t y) {
-      return B.col(cursors[x].pos) > B.col(cursors[y].pos);  // min-heap
-    };
-    heap.resize(cursors.size());
-    for (std::size_t h = 0; h < heap.size(); ++h) heap[h] = h;
-    std::make_heap(heap.begin(), heap.end(), heap_less);
-
-    std::uint64_t row_products = 0;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), heap_less);
-      const std::size_t c = heap.back();
-      heap.pop_back();
-      Cursor& cur = cursors[c];
-      const Index j = B.col(cur.pos);
-      const V v = SR::multiply(A.val(cur.a_off), B.val(cur.pos));
-      ++row_products;
-      if (!out.empty() && out.back().row == i && out.back().col == j) {
-        SR::add(out.back().val, v);
-      } else {
-        out.push_back({i, j, v});
-      }
-      if (++cur.pos < cur.end) {
-        heap.push_back(c);
-        std::push_heap(heap.begin(), heap.end(), heap_less);
-      }
-    }
-    if (stats != nullptr) stats->products += row_products;
-  }
-  if (stats != nullptr) {
-    stats->out_nnz += out.size();
-    ++stats->calls;
-  }
-  return SpMat<V>::from_triples(A.nrows(), B.ncols(), std::move(out));
-}
-
-/// Kernel-dispatching entry point. `pool`/`max_threads` only apply to the
-/// two-phase kernel (the serial oracles ignore them); `telem` records
-/// phase timings and flop totals for the two-phase kernel only (the
-/// oracles stay uninstrumented — they exist to be compared against).
-template <SemiringLike SR>
-[[nodiscard]] SpMat<typename SR::value_type> spgemm(
-    const SpMat<typename SR::left_type>& A,
-    const SpMat<typename SR::right_type>& B, SpGemmKernel kernel,
-    SpGemmStats* stats = nullptr, util::ThreadPool* pool = nullptr,
-    int max_threads = 0, const obs::Telemetry& telem = {}) {
-  switch (kernel) {
-    case SpGemmKernel::kHash:
-      return spgemm_hash<SR>(A, B, stats);
-    case SpGemmKernel::kHeap:
-      return spgemm_heap<SR>(A, B, stats);
-    case SpGemmKernel::kHash2Phase:
-      break;
-  }
-  return spgemm_hash2p<SR>(A, B, stats, pool, max_threads, telem);
 }
 
 /// Merges partial results (e.g. the √p SUMMA stage outputs) into one matrix,

@@ -261,31 +261,10 @@ TEST_P(ClusterThreadSweep, AssignmentsBitIdenticalToSerial) {
     EXPECT_DOUBLE_EQ(stats.per_iteration[i].chaos,
                      mcl_ref_stats.per_iteration[i].chaos);
   }
-
-  // max_threads caps below the pool are schedule-only too.
-  pc::MclOptions capped;
-  capped.max_threads = 2;
-  EXPECT_EQ(pc::markov_cluster(g, capped, nullptr, &pool), mcl_ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ClusterThreadSweep,
                          ::testing::Values(1, 2, 8));
-
-// ---- serial kernel oracles drive the same clusters -------------------------
-
-TEST(Mcl, ExpansionKernelsAgree) {
-  const auto edges = planted_graph(300, 20, 0.5, 60, 17);
-  const auto g = pc::SimilarityGraph::from_edges(300, edges);
-  pastis::util::ThreadPool pool(4);
-  pc::MclOptions opt;  // kHash2Phase default
-  const auto fast = pc::markov_cluster(g, opt, nullptr, &pool);
-  opt.kernel = pastis::sparse::SpGemmKernel::kHash;
-  const auto hash = pc::markov_cluster(g, opt, nullptr, &pool);
-  opt.kernel = pastis::sparse::SpGemmKernel::kHeap;
-  const auto heap = pc::markov_cluster(g, opt, nullptr, &pool);
-  EXPECT_EQ(fast, hash);
-  EXPECT_EQ(fast, heap);
-}
 
 // ---- end-to-end: run_and_cluster + driver ----------------------------------
 

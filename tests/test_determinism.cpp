@@ -1,8 +1,8 @@
 // The paper's headline reproducibility claim (§IV): "the PASTIS algorithm
 // gives identical results irrespective of the amount of parallelism utilized
 // and the blocking size chosen." We sweep process counts, blocking factors,
-// load-balancing schemes, SpGEMM kernels and pre-blocking, and require the
-// similarity graph to be bit-identical to a serial reference run.
+// load-balancing schemes and pre-blocking, and require the similarity graph
+// to be bit-identical to a serial reference run.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
@@ -52,7 +52,6 @@ struct DeterminismCase {
   int br, bc;
   pc::LoadBalanceScheme scheme;
   bool preblocking;
-  pastis::sparse::SpGemmKernel kernel;
 };
 
 class DeterminismSweep : public ::testing::TestWithParam<DeterminismCase> {};
@@ -64,40 +63,31 @@ TEST_P(DeterminismSweep, GraphIdenticalToSerialReference) {
   cfg.block_cols = c.bc;
   cfg.load_balance = c.scheme;
   cfg.pipeline_depth = c.preblocking ? 2 : 1;
-  cfg.spgemm_kernel = c.kernel;
   pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, c.p);
   const auto result = search.run(shared_dataset());
   expect_identical(result.edges, reference_edges());
 }
 
 using LB = pc::LoadBalanceScheme;
-using K = pastis::sparse::SpGemmKernel;
 
 INSTANTIATE_TEST_SUITE_P(
     AllDecompositions, DeterminismSweep,
-    ::testing::Values(
-        DeterminismCase{1, 1, 1, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{4, 1, 1, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{4, 2, 2, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{4, 2, 2, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{9, 3, 4, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{9, 3, 4, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{16, 8, 8, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{16, 8, 8, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{4, 4, 4, LB::kIndexBased, true, K::kHash},
-        DeterminismCase{4, 4, 4, LB::kTriangularity, true, K::kHash},
-        DeterminismCase{9, 2, 2, LB::kIndexBased, false, K::kHeap},
-        DeterminismCase{1, 5, 7, LB::kTriangularity, false, K::kHeap},
-        DeterminismCase{25, 1, 1, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{25, 6, 2, LB::kTriangularity, true, K::kHash},
-        // Two-phase kernel (the default; the serial reference run above
-        // already uses it — these sweep it across decompositions, and the
-        // kHash/kHeap cases prove cross-kernel bit-identity).
-        DeterminismCase{1, 1, 1, LB::kIndexBased, false, K::kHash2Phase},
-        DeterminismCase{4, 2, 2, LB::kTriangularity, false, K::kHash2Phase},
-        DeterminismCase{9, 3, 4, LB::kIndexBased, false, K::kHash2Phase},
-        DeterminismCase{16, 4, 4, LB::kTriangularity, true,
-                        K::kHash2Phase}));
+    ::testing::Values(DeterminismCase{1, 1, 1, LB::kTriangularity, false},
+                      DeterminismCase{1, 1, 1, LB::kIndexBased, false},
+                      DeterminismCase{4, 1, 1, LB::kIndexBased, false},
+                      DeterminismCase{4, 2, 2, LB::kIndexBased, false},
+                      DeterminismCase{4, 2, 2, LB::kTriangularity, false},
+                      DeterminismCase{9, 3, 4, LB::kIndexBased, false},
+                      DeterminismCase{9, 3, 4, LB::kTriangularity, false},
+                      DeterminismCase{16, 8, 8, LB::kIndexBased, false},
+                      DeterminismCase{16, 8, 8, LB::kTriangularity, false},
+                      DeterminismCase{4, 4, 4, LB::kIndexBased, true},
+                      DeterminismCase{4, 4, 4, LB::kTriangularity, true},
+                      DeterminismCase{9, 2, 2, LB::kIndexBased, false},
+                      DeterminismCase{1, 5, 7, LB::kTriangularity, false},
+                      DeterminismCase{25, 1, 1, LB::kIndexBased, false},
+                      DeterminismCase{25, 6, 2, LB::kTriangularity, true},
+                      DeterminismCase{16, 4, 4, LB::kTriangularity, true}));
 
 TEST(Determinism, RepeatedRunsAreIdentical) {
   pc::PastisConfig cfg;

@@ -11,6 +11,7 @@
 #include "dist/distmat.hpp"
 #include "dist/summa.hpp"
 #include "kmer/nearest.hpp"
+#include "oracle/spgemm_hash.hpp"
 #include "util/rng.hpp"
 
 namespace pd = pastis::dist;
@@ -173,19 +174,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SummaCase{25, 55, 71, 33, 0.12, 0.08},
                       SummaCase{16, 10, 200, 10, 0.05, 0.05},
                       SummaCase{9, 33, 33, 33, 0.0, 0.3}));  // empty A
-
-TEST(Summa, HeapKernelAgrees) {
-  const auto ta = random_triples(40, 40, 0.2, 21);
-  const auto tb = random_triples(40, 40, 0.2, 22);
-  psim::SimRuntime rt(9, psim::MachineModel{});
-  auto A = from_global_triples<int>(rt.grid(), 40, 40, ta);
-  auto B = from_global_triples<int>(rt.grid(), 40, 40, tb);
-  pd::SummaOptions hash_opt, heap_opt;
-  heap_opt.kernel = ps::SpGemmKernel::kHeap;
-  auto Ch = pd::summa<ps::PlusTimes<int>>(rt, A, B, hash_opt);
-  auto Cp = pd::summa<ps::PlusTimes<int>>(rt, A, B, heap_opt);
-  EXPECT_EQ(to_map(to_global_triples(Ch)), to_map(to_global_triples(Cp)));
-}
 
 TEST(Summa, DimensionMismatchThrows) {
   psim::SimRuntime rt(4, psim::MachineModel{});

@@ -291,7 +291,6 @@ TEST(ExecPipeline, DepthBlockingThreadInvariance) {
         pc::PastisConfig cfg;
         cfg.block_rows = cfg.block_cols = blocks;
         cfg.pipeline_depth = depth;
-        cfg.spgemm_threads = static_cast<int>(threads);
         pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, 4,
                                     &pool);
         const RunFingerprint fp(search.run(data.seqs));

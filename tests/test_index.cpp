@@ -301,6 +301,28 @@ TEST(QueryEngine, RejectsMismatchedDiscoveryConfig) {
   EXPECT_NO_THROW(pidx::QueryEngine(idx, cfg, {}, {}));
 }
 
+TEST(QueryEngine, RejectsInvalidOptions) {
+  const auto refs = make_refs(40, 11);
+  pc::PastisConfig cfg;
+  const auto idx = pidx::KmerIndex::build(refs, cfg, 2);
+  auto rejects = [&](auto&& set) {
+    pidx::QueryEngine::Options opt;
+    set(opt);
+    EXPECT_THROW(pidx::QueryEngine(idx, cfg, {}, opt), std::invalid_argument);
+  };
+  rejects([](pidx::QueryEngine::Options& o) { o.grid_side = -1; });
+  rejects([](pidx::QueryEngine::Options& o) { o.nprocs = 0; });
+  rejects([](pidx::QueryEngine::Options& o) { o.pipeline_depth = 0; });
+  // A grid-mode engine needs at least one resident copy of every shard.
+  rejects([](pidx::QueryEngine::Options& o) {
+    o.grid_side = 1;
+    o.replication = 0;
+  });
+  pidx::QueryEngine::Options grid;
+  grid.grid_side = 1;
+  EXPECT_NO_THROW(pidx::QueryEngine(idx, cfg, {}, grid));
+}
+
 TEST(QueryEngine, MatchesConcatenatedSearchAcrossShardAndProcessCounts) {
   // The acceptance bar: engine hits for [references || queries] are
   // bit-identical to SimilaritySearch::run on the concatenation

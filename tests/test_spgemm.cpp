@@ -1,6 +1,7 @@
-// SpGEMM kernel tests: hash, heap and two-phase kernels against a dense
-// reference, against each other (bit-identical, for every thread count),
-// and over non-arithmetic semirings.
+// SpGEMM kernel tests: the two-phase kernel (plain and fused) and the
+// serial hash oracle against a dense reference, against each other
+// (bit-identical, for every thread count), and over non-arithmetic
+// semirings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/spgemm_hash.hpp"
 #include "sparse/spgemm.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -80,26 +82,6 @@ TEST_P(SpGemmSweep, HashMatchesDenseReference) {
   expect_equals_dense(C, dense_multiply(A, B));
 }
 
-TEST_P(SpGemmSweep, HeapMatchesDenseReference) {
-  const auto c = GetParam();
-  auto A = random_matrix(c.m, c.k, c.da, c.seed + 2);
-  auto B = random_matrix(c.k, c.n, c.db, c.seed + 3);
-  auto C = ps::spgemm_heap<ps::PlusTimes<int>>(A, B);
-  expect_equals_dense(C, dense_multiply(A, B));
-}
-
-TEST_P(SpGemmSweep, HashAndHeapAgree) {
-  const auto c = GetParam();
-  auto A = random_matrix(c.m, c.k, c.da, c.seed + 4);
-  auto B = random_matrix(c.k, c.n, c.db, c.seed + 5);
-  ps::SpGemmStats sh, sp;
-  auto Ch = ps::spgemm_hash<ps::PlusTimes<int>>(A, B, &sh);
-  auto Cp = ps::spgemm_heap<ps::PlusTimes<int>>(A, B, &sp);
-  EXPECT_TRUE(Ch == Cp);
-  EXPECT_EQ(sh.products, sp.products);
-  EXPECT_EQ(sh.out_nnz, sp.out_nnz);
-}
-
 TEST_P(SpGemmSweep, TwoPhaseMatchesDenseReference) {
   const auto c = GetParam();
   auto A = random_matrix(c.m, c.k, c.da, c.seed + 6);
@@ -153,8 +135,6 @@ TEST(SpGemm, DimensionMismatchThrows) {
   auto B = random_matrix(6, 4, 0.5, 2);
   EXPECT_THROW(ps::spgemm_hash<ps::PlusTimes<int>>(A, B),
                std::invalid_argument);
-  EXPECT_THROW(ps::spgemm_heap<ps::PlusTimes<int>>(A, B),
-               std::invalid_argument);
   EXPECT_THROW(ps::spgemm_hash2p<ps::PlusTimes<int>>(A, B),
                std::invalid_argument);
 }
@@ -185,8 +165,6 @@ TEST(SpGemm, MinPlusSemiring) {
   auto C = ps::spgemm_hash<MP>(A, B);
   ASSERT_EQ(C.nnz(), 1u);
   EXPECT_EQ(C.to_triples()[0].val, 5);  // min(3+2, 1+5)
-  auto C2 = ps::spgemm_heap<MP>(A, B);
-  EXPECT_TRUE(C == C2);
   auto C3 = ps::spgemm_hash2p<MP>(A, B);
   EXPECT_TRUE(C == C3);
 }
@@ -262,37 +240,10 @@ TEST(SpGemm, SkewedRowsAllKernelsAgree) {
                                 [](int& a, const int& b) { a += b; });
   ps::SpGemmStats sh, s2;
   auto Ch = ps::spgemm_hash<ps::PlusTimes<int>>(A, B, &sh);
-  auto Cp = ps::spgemm_heap<ps::PlusTimes<int>>(A, B);
   pastis::util::ThreadPool pool(4);
   auto C2 = ps::spgemm_hash2p<ps::PlusTimes<int>>(A, B, &s2, &pool);
-  EXPECT_TRUE(Ch == Cp);
   EXPECT_TRUE(Ch == C2);
   EXPECT_EQ(sh.products, s2.products);
-}
-
-TEST(SpGemm, DispatcherRoutesAllKernels) {
-  auto A = random_matrix(30, 30, 0.3, 40);
-  auto B = random_matrix(30, 30, 0.3, 41);
-  const auto ref = ps::spgemm_hash<ps::PlusTimes<int>>(A, B);
-  pastis::util::ThreadPool pool(2);
-  for (auto k : {ps::SpGemmKernel::kHash, ps::SpGemmKernel::kHeap,
-                 ps::SpGemmKernel::kHash2Phase}) {
-    EXPECT_TRUE(ps::spgemm<ps::PlusTimes<int>>(A, B, k) == ref);
-    EXPECT_TRUE(ps::spgemm<ps::PlusTimes<int>>(A, B, k, nullptr, &pool, 2) ==
-                ref);
-  }
-}
-
-TEST(SpGemm, ThreadCapKnobDoesNotChangeResults) {
-  auto A = random_matrix(120, 90, 0.2, 50);
-  auto B = random_matrix(90, 110, 0.2, 51);
-  const auto ref = ps::spgemm_hash<ps::PlusTimes<int>>(A, B);
-  pastis::util::ThreadPool pool(7);
-  for (int cap : {0, 1, 2, 3, 100}) {
-    EXPECT_TRUE(ps::spgemm_hash2p<ps::PlusTimes<int>>(A, B, nullptr, &pool,
-                                                      cap) == ref)
-        << "cap=" << cap;
-  }
 }
 
 TEST(SpGemm, AddMergeCombinesParts) {
@@ -313,12 +264,6 @@ TEST(SpGemm, AddMergeCombinesParts) {
     });
     EXPECT_EQ(v, expect);
   });
-}
-
-TEST(SpGemm, KernelNames) {
-  EXPECT_EQ(ps::to_string(ps::SpGemmKernel::kHash), "hash");
-  EXPECT_EQ(ps::to_string(ps::SpGemmKernel::kHeap), "heap");
-  EXPECT_EQ(ps::to_string(ps::SpGemmKernel::kHash2Phase), "hash2p");
 }
 
 TEST(SpGemm, RowDirectoryFlatAndHashAgreeWithFindRow) {
