@@ -1,8 +1,9 @@
 // google-benchmark microbenches for the two leaf kernels the paper's
-// performance rests on: batch Smith-Waterman (the ADEPT stand-in) and
-// local semiring SpGEMM, plus the setup stage's k-mer kernels (extraction,
-// substitute k-mers, the tile transpose). Reports real CUPS / products-per-second of this
-// host, which is useful when re-calibrating sim/machine_model.hpp.
+// performance rests on: batch Smith-Waterman (the ADEPT stand-in, one pair
+// at a time and as int16 lane groups) and local semiring SpGEMM, plus the
+// setup stage's k-mer kernels (extraction, substitute k-mers, the tile
+// transpose). Reports real CUPS / products-per-second of this host, which
+// is useful when re-calibrating sim/machine_model.hpp.
 #include <benchmark/benchmark.h>
 
 #include "oracle/spgemm_hash.hpp"
@@ -69,6 +70,69 @@ void BM_BandedSW(benchmark::State& state) {
                                               benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BandedSW)->Args({512, 16})->Args({512, 64})->Args({512, 256});
+
+/// 64 pairs of mixed lengths, uniform in [mean/2, 3*mean/2), each a
+/// reference and a diverged copy: the shape of a production lane batch.
+struct LaneBench {
+  std::vector<std::string> seqs;
+  std::vector<align::LanePair> pairs;
+  std::vector<align::AlignResult> out;
+};
+
+LaneBench lane_bench(std::size_t mean, std::uint64_t seed) {
+  static const std::string aas = "ARNDCQEGHILKMFPSTWYV";
+  util::Xoshiro256 rng(seed);
+  LaneBench b;
+  for (int k = 0; k < 64; ++k) {
+    std::string q(mean / 2 + rng.below(mean), 'A');
+    for (auto& c : q) c = aas[rng.below(aas.size())];
+    std::string r = q;
+    for (auto& c : r) {
+      if (rng.chance(0.2)) c = aas[rng.below(aas.size())];
+    }
+    b.seqs.push_back(std::move(q));
+    b.seqs.push_back(std::move(r));
+  }
+  for (std::size_t k = 0; k < b.seqs.size(); k += 2) {
+    b.pairs.push_back({b.seqs[k], b.seqs[k + 1], 0});
+  }
+  b.out.resize(b.pairs.size());
+  return b;
+}
+
+/// Logical DP cells (m * n, or band cells) a lane batch updated, as a rate.
+void lane_counters(benchmark::State& state, const LaneBench& b) {
+  std::uint64_t cells = 0;
+  for (const auto& r : b.out) cells += r.cells;
+  state.counters["MCUPS"] = benchmark::Counter(
+      static_cast<double>(cells) * static_cast<double>(state.iterations()) / 1e6,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_LaneGroupFull(benchmark::State& state) {
+  auto b = lane_bench(static_cast<std::size_t>(state.range(0)), 54);
+  const auto scoring = align::Scoring::pastis_default();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(align::align_lanes(b.pairs, scoring, {}, b.out));
+    benchmark::DoNotOptimize(b.out.data());
+    benchmark::ClobberMemory();
+  }
+  lane_counters(state, b);
+}
+BENCHMARK(BM_LaneGroupFull)->Arg(128)->Arg(256)->Arg(512);
+
+void BM_LaneGroupBanded(benchmark::State& state) {
+  auto b = lane_bench(static_cast<std::size_t>(state.range(0)), 55);
+  const auto scoring = align::Scoring::pastis_default();
+  const align::LaneBand band{false, static_cast<int>(state.range(1))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(align::align_lanes(b.pairs, scoring, band, b.out));
+    benchmark::DoNotOptimize(b.out.data());
+    benchmark::ClobberMemory();
+  }
+  lane_counters(state, b);
+}
+BENCHMARK(BM_LaneGroupBanded)->Args({512, 16})->Args({512, 64})->Args({80, 32});
 
 void BM_XDrop(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <string>
 
@@ -26,6 +27,45 @@ AlignResult BatchAligner::align_pair(std::string_view q, std::string_view r,
                           scoring_, config_.xdrop);
   }
   return {};
+}
+
+LaneStats BatchAligner::align_tasks(const SeqAccessor& seq_of,
+                                    std::span<const AlignTask> tasks,
+                                    AlignKind kind,
+                                    std::span<AlignResult> results,
+                                    util::ThreadPool* pool,
+                                    LaneWorkspace& ws) const {
+  if (kind == AlignKind::kXDrop) {
+    util::for_each_index(pool, tasks.size(), [&](std::size_t t) {
+      const AlignTask& task = tasks[t];
+      results[t] = align_pair(seq_of(task.q_id), seq_of(task.r_id), task, kind);
+    });
+    return {};
+  }
+  ws.pairs.resize(tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    ws.pairs[t] = {seq_of(tasks[t].q_id), seq_of(tasks[t].r_id),
+                   static_cast<int>(tasks[t].seed_r) -
+                       static_cast<int>(tasks[t].seed_q)};
+  }
+  const LaneBand band{kind == AlignKind::kFullSW, config_.band_half_width};
+  plan_lane_groups(ws.pairs, band, ws.plan);
+
+  // One group per claim, largest first: a slow worker holds up at most one
+  // small group at the end.
+  const std::size_t groups = ws.plan.groups();
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::uint64_t> fallbacks{0};
+  const auto worker = [&](std::size_t) {
+    for (std::size_t g; (g = next.fetch_add(1)) < groups;) {
+      fallbacks += align_lane_group(ws.pairs, ws.plan.group(g), scoring_,
+                                    band, results);
+    }
+  };
+  util::for_each_index(pool,
+                       pool == nullptr ? 1 : std::min(pool->size(), groups),
+                       worker);
+  return {groups, fallbacks.load()};
 }
 
 void BatchAligner::assign_lanes(const SeqAccessor& seq_of,

@@ -69,6 +69,18 @@ struct AlignWorkspace {
   LaneScratch lanes;
 };
 
+/// Counts of one BatchAligner::align_tasks call.
+struct LaneStats {
+  std::uint64_t groups = 0;            // lane groups, scalar singletons too
+  std::uint64_t scalar_fallbacks = 0;  // lanes re-run after int16 saturation
+};
+
+/// Reusable buffers of BatchAligner::align_tasks.
+struct LaneWorkspace {
+  std::vector<LanePair> pairs;
+  LanePlan plan;
+};
+
 class BatchAligner {
  public:
   struct Config {
@@ -135,6 +147,16 @@ class BatchAligner {
   [[nodiscard]] AlignResult align_pair(std::string_view q, std::string_view r,
                                        const AlignTask& task,
                                        AlignKind kind) const;
+
+  /// Aligns every task with `kind` into `results` (positionally parallel),
+  /// on `pool` or serially when it is null. Full and banded tasks run as
+  /// lane groups (plan_lane_groups); each pool claim takes one group,
+  /// largest first. X-drop tasks run one at a time. Every result equals
+  /// align_pair's.
+  LaneStats align_tasks(const SeqAccessor& seq_of,
+                        std::span<const AlignTask> tasks, AlignKind kind,
+                        std::span<AlignResult> results, util::ThreadPool* pool,
+                        LaneWorkspace& ws) const;
 
   /// Device-model accounting for a batch whose results are already known,
   /// on a reusable scratch (re-entrant stage path): assigns lanes into

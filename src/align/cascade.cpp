@@ -170,12 +170,17 @@ bool tier0_keep(std::string_view q, std::string_view r,
 bool tier1_keep(std::string_view q, std::string_view r, const AlignTask& task,
                 const BatchAligner& aligner, const CascadeOptions& opt,
                 TierStats& ts) {
+  return tier1_judge(aligner.align_pair(q, r, task, opt.tier1_kind), q.size(),
+                     r.size(), opt, ts);
+}
+
+bool tier1_judge(const AlignResult& probe, std::size_t len_q,
+                 std::size_t len_r, const CascadeOptions& opt, TierStats& ts) {
   ++ts.pairs_in;
-  const AlignResult probe = aligner.align_pair(q, r, task, opt.tier1_kind);
   ts.cells += probe.cells;
   bool keep = probe.score >= opt.tier1_min_score;
   if (keep && opt.tier1_min_cov > 0.0) {
-    keep = probe.coverage(q.size(), r.size()) >= opt.tier1_min_cov;
+    keep = probe.coverage(len_q, len_r) >= opt.tier1_min_cov;
   }
   if (keep) {
     ++ts.pairs_out;

@@ -151,6 +151,13 @@ struct UngappedExtension {
                               const BatchAligner& aligner,
                               const CascadeOptions& opt, TierStats& ts);
 
+/// The tier-1 decision on a probe result already computed with
+/// tier1_kind: the score cutoff, then the coverage cutoff. tier1_keep is
+/// this over aligner.align_pair's probe.
+[[nodiscard]] bool tier1_judge(const AlignResult& probe, std::size_t len_q,
+                               std::size_t len_r, const CascadeOptions& opt,
+                               TierStats& ts);
+
 /// Whole-cascade screen of one candidate (tier 0 then tier 1). With every
 /// tier disabled this is a single branch and the pair always survives —
 /// the exact path by construction.

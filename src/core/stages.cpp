@@ -93,16 +93,33 @@ std::vector<align::CascadeStats> screen_candidates(
     for (const auto& v : rank_cands) n += v.size();
     return static_cast<double>(n);
   };
+  // Tier 1 probes every rank's candidates as one batch of lane groups
+  // first; the per-rank pass then judges the probe results in order.
+  std::vector<align::AlignTask> probe_tasks;
+  std::vector<std::size_t> probe_offset;
+  std::vector<align::AlignResult> probes;
   for (int tier = 0; tier < 2; ++tier) {
     if (!(tier == 0 ? opt.tier0_enabled : opt.tier1_enabled)) continue;
     obs::Span span(aligner.config().telemetry.tracer,
                    tier == 0 ? "cascade.tier0" : "cascade.tier1");
     span.arg("pairs_in", total_pairs());
+    if (tier == 1) {
+      probe_offset.assign(np + 1, 0);
+      for (std::size_t ri = 0; ri < np; ++ri) {
+        probe_offset[ri + 1] = probe_offset[ri] + rank_cands[ri].size();
+        for (const auto& c : rank_cands[ri]) probe_tasks.push_back(c.task);
+      }
+      probes.resize(probe_tasks.size());
+      align::LaneWorkspace ws;
+      aligner.align_tasks(seq_of, probe_tasks, opt.tier1_kind, probes, pool,
+                          ws);
+    }
     util::for_each_index(pool, np, [&](std::size_t ri) {
       auto& v = rank_cands[ri];
       auto& cs = rank_cs[ri];
       std::size_t keep = 0;
-      for (const auto& c : v) {
+      for (std::size_t k = 0; k < v.size(); ++k) {
+        const auto& c = v[k];
         const std::string_view q = seq_of(c.task.q_id);
         const std::string_view r = seq_of(c.task.r_id);
         const bool pass =
@@ -110,7 +127,8 @@ std::vector<align::CascadeStats> screen_candidates(
                 ? align::tier0_keep(
                       q, r, {c.seeds, static_cast<std::size_t>(c.n_seeds)},
                       c.count, c.sketch_overlap, aligner, opt, cs.tier0)
-                : align::tier1_keep(q, r, c.task, aligner, opt, cs.tier1);
+                : align::tier1_judge(probes[probe_offset[ri] + k], q.size(),
+                                     r.size(), opt, cs.tier1);
         if (pass) v[keep++] = c;
       }
       v.resize(keep);
@@ -149,9 +167,24 @@ std::vector<align::BatchStats> align_and_filter(
     scratch.flat_tasks.insert(scratch.flat_tasks.end(), v.begin(), v.end());
   }
   scratch.results.assign(scratch.flat_tasks.size(), align::AlignResult{});
-  util::for_each_index(pool, scratch.flat_tasks.size(), [&](std::size_t t) {
-    scratch.results[t] = aligner.align_one_task(seq_of, scratch.flat_tasks[t]);
-  });
+  {
+    const obs::Telemetry& telemetry = aligner.config().telemetry;
+    obs::Span span(telemetry.tracer, "align.dp");
+    const align::LaneStats lanes = aligner.align_tasks(
+        seq_of, scratch.flat_tasks, aligner.config().kind, scratch.results,
+        pool, scratch.lane_ws);
+    if (telemetry.tracer != nullptr) {
+      std::uint64_t cells = 0;
+      for (const auto& r : scratch.results) cells += r.cells;
+      span.arg("pairs", static_cast<double>(scratch.results.size()));
+      span.arg("cells", static_cast<double>(cells));
+      span.arg("lane_groups", static_cast<double>(lanes.groups));
+    }
+    if (telemetry.metrics != nullptr) {
+      telemetry.metrics->counter("align.scalar_fallbacks_total")
+          .add(static_cast<double>(lanes.scalar_fallbacks));
+    }
+  }
 
   // Per-rank filter and device accounting from each rank's own slice, so
   // the flattening is invisible to the modeled timings.

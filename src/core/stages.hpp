@@ -119,7 +119,8 @@ struct ScreenCandidate {
 /// staged candidates. Every enabled tier runs as one pass, traced as a
 /// `cascade.tier<t>` span on the aligner's tracer, that compacts each
 /// rank's list in place (ranks in parallel on `pool`, serially when it is
-/// null). The survivors' tasks are then appended, in order, to
+/// null); tier 1 first probes all ranks' candidates as one batch of lane
+/// groups. The survivors' tasks are then appended, in order, to
 /// `rank_tasks`. Returns each rank's CascadeStats; with any tier enabled,
 /// their total is also added to the `cascade.tier{0,1}.*_total` counters.
 /// With no tier enabled every task passes through unchanged.
@@ -137,11 +138,15 @@ struct AlignScratch {
   std::vector<std::size_t> rank_offset;
   std::vector<align::AlignResult> results;
   std::vector<align::LaneScratch> lanes;  // per rank
+  align::LaneWorkspace lane_ws;
 };
 
 /// The align stage over one block/batch. Flattens every rank's tasks and
-/// aligns them on `pool` (serially when it is null), so a skewed rank does
-/// not idle host cores. Then, per rank, appends the pairs that pass the
+/// aligns them as lane groups (BatchAligner::align_tasks) on `pool`
+/// (serially when it is null), so a skewed rank does not idle host cores;
+/// that pass is one measured `align.dp` span, and with metrics on it adds
+/// its saturation re-runs to `align.scalar_fallbacks_total`. Then, per
+/// rank, appends the pairs that pass the
 /// ANI/coverage filter to `rank_edges[r]` and returns the rank's device
 /// accounting (BatchAligner::stats_for). Ranks with `dead[r] != 0` get no
 /// edges and zero stats; an empty `dead` means every rank is alive.

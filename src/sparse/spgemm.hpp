@@ -117,17 +117,6 @@ class HashAccumulator {
     used_.clear();
   }
 
-  /// Appends this row's entries sorted by column and resets the table.
-  void extract_sorted(std::vector<Index>& cols, std::vector<V>& vals) {
-    sort_used();
-    for (std::size_t slot : used_) {
-      cols.push_back(keys_[slot]);
-      vals.push_back(vals_[slot]);
-      keys_[slot] = kEmpty;
-    }
-    used_.clear();
-  }
-
   /// Writes this row's entries sorted by column into pre-sized storage
   /// (the numeric pass's direct DCSR assembly) and resets the table.
   void extract_sorted_to(Index* cols, V* vals) {
@@ -275,6 +264,143 @@ inline std::vector<std::size_t> flop_chunks(
   return bounds;
 }
 
+/// B-row slot of an A nonzero whose column has no row in B.
+inline constexpr std::uint32_t kMissSlot = static_cast<std::uint32_t>(-1);
+
+/// Adds one call's totals to `stats` and, with metrics on, to the
+/// spgemm.{calls,flops,out_nnz}_total counters. The flop and nnz totals go
+/// to the registry rather than onto SpGemmStats: SpGemmStats instances are
+/// compared across schedules in the cross-check tests, so they must not
+/// grow measured-time fields.
+inline void finish_stats(SpGemmStats* stats, const obs::Telemetry& telem,
+                         std::uint64_t products, std::uint64_t out_nnz) {
+  if (stats != nullptr) {
+    stats->products += products;
+    stats->out_nnz += out_nnz;
+    ++stats->calls;
+  }
+  if (telem.metrics != nullptr) {
+    telem.metrics->counter("spgemm.calls_total").add(1.0);
+    telem.metrics->counter("spgemm.flops_total")
+        .add(static_cast<double>(products));
+    telem.metrics->counter("spgemm.out_nnz_total")
+        .add(static_cast<double>(out_nnz));
+  }
+}
+
+/// Runs one kernel phase under a measured span and a latency histogram
+/// named "<name>_seconds"; with telemetry off it is a plain call.
+template <typename Fn>
+void timed_phase(const obs::Telemetry& telem, const char* name, Fn&& fn) {
+  if (!telem.enabled()) {
+    fn();
+    return;
+  }
+  obs::Span span(telem.tracer, name);
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  if (telem.metrics != nullptr) {
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    telem.metrics->histogram(std::string(name) + "_seconds").observe(s);
+  }
+}
+
+/// One directory pass over A's nonzeros: caches each nonzero's B-row slot
+/// in `kb_of` (so the symbolic and numeric passes do zero lookups) and
+/// writes the cumulative per-row flops (exactly the products each row will
+/// perform) to `flops`, whose prefix sums balance the row ranges. Rows
+/// marked in `skip_rows` (indexed by global row id; null marks none) cost
+/// zero flops, so the schedule and both passes ignore them. Returns the
+/// total flops.
+template <typename L, typename R>
+std::uint64_t directory_pass(const SpMat<L>& A, const SpMat<R>& B,
+                             const std::uint8_t* skip_rows,
+                             std::vector<std::uint32_t>& kb_of,
+                             std::vector<std::uint64_t>& flops) {
+  const RowDirectory dir(B.nrows(), B.row_ids());
+  const std::size_t nka = A.n_nonempty_rows();
+  kb_of.resize(A.nnz());
+  flops.resize(nka + 1);
+  flops[0] = 0;
+  for (std::size_t ka = 0; ka < nka; ++ka) {
+    std::uint64_t f = 0;
+    if (skip_rows == nullptr || skip_rows[A.row_id(ka)] == 0) {
+      for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
+        const std::size_t kb = dir.lookup(A.col(o));
+        if (kb != RowDirectory::npos) {
+          kb_of[o] = static_cast<std::uint32_t>(kb);
+          f += static_cast<std::uint64_t>(B.row_end(kb) - B.row_begin(kb));
+        } else {
+          kb_of[o] = kMissSlot;
+        }
+      }
+    }
+    flops[ka + 1] = flops[ka] + f;
+  }
+  return flops[nka];
+}
+
+/// Row ranges a call splits into: one per pool thread, or one for a tiny
+/// multiply (a SUMMA stage on a small tile is not worth the fan-out).
+inline std::size_t spgemm_threads(const util::ThreadPool* pool,
+                                  std::uint64_t total_flops) {
+  return pool == nullptr || total_flops < (1u << 14) ? 1 : pool->size();
+}
+
+/// Runs chunk_fn(c) for every range of `bounds` (see flop_chunks) on
+/// `pool`, or in order on the calling thread without a pool or with a
+/// single range.
+inline void run_chunks(util::ThreadPool* pool,
+                       const std::vector<std::size_t>& bounds,
+                       const std::function<void(std::size_t)>& chunk_fn) {
+  const std::size_t n = bounds.size() - 1;
+  if (pool == nullptr || n <= 1) {
+    for (std::size_t c = 0; c < n; ++c) chunk_fn(c);
+  } else {
+    pool->parallel_for(n, chunk_fn);
+  }
+}
+
+/// The symbolic pass: the exact nnz of every output row into `row_nnz`,
+/// over the ranges of `bounds` with one count-only accumulator per range.
+/// The table-size hint is capped: high-compression rows (many products,
+/// few distinct columns, the §V-B genomics regime) would otherwise pay
+/// cold-cache probes in a needlessly huge table; rows that really exceed
+/// the cap rehash a few times (keys only, cheap).
+template <typename V, typename L, typename R>
+void symbolic_pass(const SpMat<L>& A, const SpMat<R>& B,
+                   const std::vector<std::uint32_t>& kb_of,
+                   const std::vector<std::uint64_t>& flops,
+                   const std::vector<std::size_t>& bounds,
+                   std::vector<HashAccumulator<V>>& accs,
+                   std::vector<Offset>& row_nnz, util::ThreadPool* pool,
+                   const obs::Telemetry& telem) {
+  constexpr std::size_t kSymbolicSizeCap = 4096;
+  if (accs.size() < bounds.size() - 1) accs.resize(bounds.size() - 1);
+  row_nnz.assign(A.n_nonempty_rows(), 0);
+  timed_phase(telem, "spgemm.symbolic", [&] {
+    run_chunks(pool, bounds, [&](std::size_t c) {
+      HashAccumulator<V>& acc = accs[c];
+      for (std::size_t ka = bounds[c]; ka < bounds[c + 1]; ++ka) {
+        const std::uint64_t f = flops[ka + 1] - flops[ka];
+        if (f == 0) continue;
+        acc.begin_row(std::min(static_cast<std::size_t>(f), kSymbolicSizeCap));
+        for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
+          const std::uint32_t kb = kb_of[o];
+          if (kb == kMissSlot) continue;
+          for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
+            acc.insert(B.col(ob));
+          }
+        }
+        row_nnz[ka] = static_cast<Offset>(acc.row_size());
+        acc.clear_row();
+      }
+    });
+  });
+}
+
 }  // namespace detail
 
 /// C = A ·_SR B with the two-phase symbolic/numeric hash kernel.
@@ -298,114 +424,22 @@ template <SemiringLike SR>
     throw std::invalid_argument("spgemm: inner dimensions disagree");
   }
   const std::size_t nka = A.n_nonempty_rows();
-  // Flop/nnz totals land in the registry rather than on SpGemmStats:
-  // SpGemmStats instances are compared across kernels/schedules in the
-  // cross-check tests, so it must not grow measured-time fields.
-  auto finish_stats = [&](std::uint64_t products, std::uint64_t out_nnz) {
-    if (stats != nullptr) {
-      stats->products += products;
-      stats->out_nnz += out_nnz;
-      ++stats->calls;
-    }
-    if (telem.metrics != nullptr) {
-      telem.metrics->counter("spgemm.calls_total").add(1.0);
-      telem.metrics->counter("spgemm.flops_total")
-          .add(static_cast<double>(products));
-      telem.metrics->counter("spgemm.out_nnz_total")
-          .add(static_cast<double>(out_nnz));
-    }
-  };
-  // Runs one kernel phase under a measured span + a latency histogram
-  // named "<name>_seconds"; telemetry off is a plain call.
-  auto timed_phase = [&](const char* name, auto&& fn) {
-    if (!telem.enabled()) {
-      fn();
-      return;
-    }
-    obs::Span span(telem.tracer, name);
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    if (telem.metrics != nullptr) {
-      const double s = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      telem.metrics->histogram(std::string(name) + "_seconds").observe(s);
-    }
-  };
-  if (nka == 0 || B.n_nonempty_rows() == 0) {
-    finish_stats(0, 0);
+  auto empty_result = [&] {
+    detail::finish_stats(stats, telem, 0, 0);
     return SpMat<V>(A.nrows(), B.ncols());
-  }
-
-  const detail::RowDirectory dir(B.nrows(), B.row_ids());
-
-  // One directory pass over A's nonzeros: cache each nonzero's B-row slot
-  // (so the symbolic and numeric passes do zero lookups) and accumulate
-  // the per-row flops (= exactly the products the row will perform) whose
-  // prefix sum balances the row ranges.
-  constexpr std::uint32_t kMissSlot = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> kb_of(A.nnz());
-  std::vector<std::uint64_t> flops(nka + 1, 0);
-  for (std::size_t ka = 0; ka < nka; ++ka) {
-    std::uint64_t f = 0;
-    for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-      const std::size_t kb = dir.lookup(A.col(o));
-      if (kb != detail::RowDirectory::npos) {
-        kb_of[o] = static_cast<std::uint32_t>(kb);
-        f += static_cast<std::uint64_t>(B.row_end(kb) - B.row_begin(kb));
-      } else {
-        kb_of[o] = kMissSlot;
-      }
-    }
-    flops[ka + 1] = flops[ka] + f;
-  }
-  const std::uint64_t total_flops = flops[nka];
-  if (total_flops == 0) {
-    finish_stats(0, 0);
-    return SpMat<V>(A.nrows(), B.ncols());
-  }
-
-  std::size_t threads = pool != nullptr ? pool->size() : 1;
-  // Tiny multiplies are not worth fan-out (a SUMMA stage on a small tile).
-  if (total_flops < (1u << 14)) threads = 1;
-  const std::vector<std::size_t> bounds = detail::flop_chunks(flops, threads);
-  const std::size_t n_chunks = bounds.size() - 1;
-
-  auto run_chunks = [&](const std::function<void(std::size_t)>& chunk_fn) {
-    if (pool == nullptr || n_chunks <= 1) {
-      for (std::size_t c = 0; c < n_chunks; ++c) chunk_fn(c);
-    } else {
-      pool->parallel_for(n_chunks, chunk_fn);
-    }
   };
+  if (nka == 0 || B.n_nonempty_rows() == 0) return empty_result();
+  std::vector<std::uint32_t> kb_of;
+  std::vector<std::uint64_t> flops;
+  const std::uint64_t total_flops =
+      detail::directory_pass(A, B, nullptr, kb_of, flops);
+  if (total_flops == 0) return empty_result();
+  const std::vector<std::size_t> bounds =
+      detail::flop_chunks(flops, detail::spgemm_threads(pool, total_flops));
 
-  // ---- symbolic pass: exact nnz of every output row ------------------------
-  // The table-size hint is capped: high-compression rows (many products,
-  // few distinct columns — the §V-B genomics regime) would otherwise pay
-  // cold-cache probes in a needlessly huge table; rows that really do
-  // exceed the cap just rehash a few times (keys only, cheap).
-  constexpr std::size_t kSymbolicSizeCap = 4096;
-  std::vector<Offset> row_nnz(nka, 0);
-  timed_phase("spgemm.symbolic", [&] {
-    run_chunks([&](std::size_t c) {
-      detail::HashAccumulator<V> acc;  // keys only; values untouched
-      for (std::size_t ka = bounds[c]; ka < bounds[c + 1]; ++ka) {
-        const std::uint64_t f = flops[ka + 1] - flops[ka];
-        if (f == 0) continue;
-        acc.begin_row(
-            std::min(static_cast<std::size_t>(f), kSymbolicSizeCap));
-        for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-          const std::uint32_t kb = kb_of[o];
-          if (kb == kMissSlot) continue;
-          for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
-            acc.insert(B.col(ob));
-          }
-        }
-        row_nnz[ka] = static_cast<Offset>(acc.row_size());
-        acc.clear_row();
-      }
-    });
-  });
+  std::vector<detail::HashAccumulator<V>> accs;
+  std::vector<Offset> row_nnz;
+  detail::symbolic_pass(A, B, kb_of, flops, bounds, accs, row_nnz, pool, telem);
 
   // ---- exact prefix sum → pre-sized output arrays --------------------------
   std::vector<Offset> row_off(nka + 1, 0);
@@ -417,15 +451,15 @@ template <SemiringLike SR>
   std::vector<V> out_vals(out_nnz);
 
   // ---- numeric pass: direct DCSR assembly ----------------------------------
-  timed_phase("spgemm.numeric", [&] {
-    run_chunks([&](std::size_t c) {
-      detail::HashAccumulator<V> acc;
+  detail::timed_phase(telem, "spgemm.numeric", [&] {
+    detail::run_chunks(pool, bounds, [&](std::size_t c) {
+      detail::HashAccumulator<V>& acc = accs[c];
       for (std::size_t ka = bounds[c]; ka < bounds[c + 1]; ++ka) {
         if (row_nnz[ka] == 0) continue;
         acc.begin_row(static_cast<std::size_t>(row_nnz[ka]));
         for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
           const std::uint32_t kb = kb_of[o];
-          if (kb == kMissSlot) continue;
+          if (kb == detail::kMissSlot) continue;
           const auto& aval = A.val(o);
           for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
             acc.template add<SR>(B.col(ob), SR::multiply(aval, B.val(ob)));
@@ -452,7 +486,7 @@ template <SemiringLike SR>
   }
   out_row_ptr.push_back(out_nnz);
 
-  finish_stats(total_flops, out_nnz);
+  detail::finish_stats(stats, telem, total_flops, out_nnz);
   return SpMat<V>::from_sorted_parts(A.nrows(), B.ncols(),
                                      std::move(out_row_ids),
                                      std::move(out_row_ptr),
@@ -569,108 +603,22 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
   SpGemmWorkspace<V>& w = ws != nullptr ? *ws : local_ws;
   const std::size_t nka = A.n_nonempty_rows();
 
-  auto finish_stats = [&](std::uint64_t products, std::uint64_t out_nnz) {
-    if (stats != nullptr) {
-      stats->products += products;
-      stats->out_nnz += out_nnz;
-      ++stats->calls;
-    }
-    if (telem.metrics != nullptr) {
-      telem.metrics->counter("spgemm.calls_total").add(1.0);
-      telem.metrics->counter("spgemm.flops_total")
-          .add(static_cast<double>(products));
-      telem.metrics->counter("spgemm.out_nnz_total")
-          .add(static_cast<double>(out_nnz));
-    }
-  };
-  auto timed_phase = [&](const char* name, auto&& fn) {
-    if (!telem.enabled()) {
-      fn();
-      return;
-    }
-    obs::Span span(telem.tracer, name);
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    if (telem.metrics != nullptr) {
-      const double s = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      telem.metrics->histogram(std::string(name) + "_seconds").observe(s);
-    }
-  };
   auto empty_result = [&] {
     if (info != nullptr) *info = {};
     (void)on_symbolic(0, 0);
-    finish_stats(0, 0);
+    detail::finish_stats(stats, telem, 0, 0);
     return SpMat<V>(A.nrows(), B.ncols());
   };
   if (nka == 0 || B.n_nonempty_rows() == 0) return empty_result();
-
-  const detail::RowDirectory dir(B.nrows(), B.row_ids());
-
-  // Directory pass (as in spgemm_hash2p), with skip-masked rows charged
-  // zero flops so both the schedule and the passes ignore them.
-  constexpr std::uint32_t kMissSlot = static_cast<std::uint32_t>(-1);
-  w.kb_of.resize(A.nnz());
-  w.flops.resize(nka + 1);
-  w.flops[0] = 0;
-  for (std::size_t ka = 0; ka < nka; ++ka) {
-    std::uint64_t f = 0;
-    if (skip_rows == nullptr || skip_rows[A.row_id(ka)] == 0) {
-      for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-        const std::size_t kb = dir.lookup(A.col(o));
-        if (kb != detail::RowDirectory::npos) {
-          w.kb_of[o] = static_cast<std::uint32_t>(kb);
-          f += static_cast<std::uint64_t>(B.row_end(kb) - B.row_begin(kb));
-        } else {
-          w.kb_of[o] = kMissSlot;
-        }
-      }
-    }
-    w.flops[ka + 1] = w.flops[ka] + f;
-  }
-  const std::uint64_t total_flops = w.flops[nka];
+  const std::uint64_t total_flops =
+      detail::directory_pass(A, B, skip_rows, w.kb_of, w.flops);
   if (total_flops == 0) return empty_result();
-
-  std::size_t threads = pool != nullptr ? pool->size() : 1;
-  if (total_flops < (1u << 14)) threads = 1;
-
-  auto run_chunks = [&](const std::vector<std::size_t>& bounds,
-                        const std::function<void(std::size_t)>& chunk_fn) {
-    const std::size_t n = bounds.size() - 1;
-    if (pool == nullptr || n <= 1) {
-      for (std::size_t c = 0; c < n; ++c) chunk_fn(c);
-    } else {
-      pool->parallel_for(n, chunk_fn);
-    }
-  };
+  const std::size_t threads = detail::spgemm_threads(pool, total_flops);
 
   // ---- symbolic pass: exact pre-epilogue nnz of every output row -----------
-  constexpr std::size_t kSymbolicSizeCap = 4096;
-  const std::vector<std::size_t> sym_bounds =
-      detail::flop_chunks(w.flops, threads);
-  const std::size_t n_sym = sym_bounds.size() - 1;
-  if (w.sym_accs.size() < n_sym) w.sym_accs.resize(n_sym);
-  w.row_nnz.assign(nka, 0);
-  timed_phase("spgemm.symbolic", [&] {
-    run_chunks(sym_bounds, [&](std::size_t c) {
-      detail::HashAccumulator<V>& acc = w.sym_accs[c];
-      for (std::size_t ka = sym_bounds[c]; ka < sym_bounds[c + 1]; ++ka) {
-        const std::uint64_t f = w.flops[ka + 1] - w.flops[ka];
-        if (f == 0) continue;
-        acc.begin_row(std::min(static_cast<std::size_t>(f), kSymbolicSizeCap));
-        for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-          const std::uint32_t kb = w.kb_of[o];
-          if (kb == kMissSlot) continue;
-          for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
-            acc.insert(B.col(ob));
-          }
-        }
-        w.row_nnz[ka] = static_cast<Offset>(acc.row_size());
-        acc.clear_row();
-      }
-    });
-  });
+  detail::symbolic_pass(A, B, w.kb_of, w.flops,
+                        detail::flop_chunks(w.flops, threads), w.sym_accs,
+                        w.row_nnz, pool, telem);
 
   // ---- pre-epilogue shape → caller's budget decision -----------------------
   std::uint64_t pre_rows = 0;
@@ -722,8 +670,8 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
     w.row_cols.resize(n_num);
     w.row_vals.resize(n_num);
   }
-  timed_phase("spgemm.numeric", [&] {
-    run_chunks(num_bounds, [&](std::size_t c) {
+  detail::timed_phase(telem, "spgemm.numeric", [&] {
+    detail::run_chunks(pool, num_bounds, [&](std::size_t c) {
       detail::HashAccumulator<V>& acc = w.num_accs[c];
       std::vector<Index>& rc = w.row_cols[c];
       std::vector<V>& rv = w.row_vals[c];
@@ -733,7 +681,7 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
         acc.begin_row(static_cast<std::size_t>(rn));
         for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
           const std::uint32_t kb = w.kb_of[o];
-          if (kb == kMissSlot) continue;
+          if (kb == detail::kMissSlot) continue;
           const auto& aval = A.val(o);
           for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
             acc.template add<SR>(B.col(ob), SR::multiply(aval, B.val(ob)));
@@ -781,7 +729,7 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
     dst += kept;
   }
   out_row_ptr.push_back(dst);
-  finish_stats(total_flops, pre_nnz);
+  detail::finish_stats(stats, telem, total_flops, pre_nnz);
   if (dst == 0) {
     // Return the recycled arrays so their capacity survives the miss.
     w.out_cols = std::move(out_cols);

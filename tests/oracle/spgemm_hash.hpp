@@ -54,9 +54,9 @@ template <SemiringLike SR>
     }
 
     // Drain the accumulator into triples for this row.
-    cols.clear();
-    vals.clear();
-    acc.extract_sorted(cols, vals);
+    cols.resize(acc.row_size());
+    vals.resize(acc.row_size());
+    acc.extract_sorted_to(cols.data(), vals.data());
     for (std::size_t t = 0; t < cols.size(); ++t) {
       out.push_back({i, cols[t], vals[t]});
     }

@@ -336,6 +336,152 @@ TEST(TraceKernel, TraceCapBoundaryMatchesReference) {
               reference_full(q, above, scoring()));
 }
 
+// ---- Lane groups -----------------------------------------------------------
+
+namespace {
+
+/// Lane pairs over owned strings, so the views stay valid.
+struct LaneBatch {
+  std::vector<std::string> q, r;
+  std::vector<int> diag;
+
+  [[nodiscard]] std::vector<pa::LanePair> pairs() const {
+    std::vector<pa::LanePair> out;
+    for (std::size_t k = 0; k < q.size(); ++k) out.push_back({q[k], r[k], diag[k]});
+    return out;
+  }
+};
+
+/// Every lane result against the path-statistics reference.
+void expect_lanes_match(const LaneBatch& b, const pa::Scoring& sc,
+                        const pa::LaneBand& band) {
+  const auto pairs = b.pairs();
+  std::vector<pa::AlignResult> out(pairs.size());
+  EXPECT_EQ(pa::align_lanes(pairs, sc, band, out), 0u);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "lane pair " << k << " of " << pairs.size()
+                                    << (band.full ? " full" : " banded"));
+    const int m = static_cast<int>(b.q[k].size());
+    const int n = static_cast<int>(b.r[k].size());
+    expect_same(out[k], band.full
+                            ? pa::path_stat_smith_waterman(b.q[k], b.r[k], sc, 0,
+                                                           std::max(m, n))
+                            : pa::path_stat_smith_waterman(
+                                  b.q[k], b.r[k], sc, b.diag[k], band.half_width));
+  }
+}
+
+}  // namespace
+
+// Batches of 1, 7, 8, 9 and 17 pairs fill lane groups whole, partly and
+// not at all; batches of 2 and 3 run the two- and four-lane traces. Lengths
+// are mixed, some inputs are empty, and the small alphabets force the
+// tie-break rules to decide the path.
+TEST(LaneKernel, LaneMixFuzzMatchesReference) {
+  const pa::Scoring scorings[] = {
+      scoring(), pa::Scoring(pa::Scoring::Matrix::kBlosum62, 1, 1),
+      pa::Scoring(pa::Scoring::Matrix::kPam250, 3, 1)};
+  pastis::util::Xoshiro256 rng(97);
+  for (const std::string_view aas :
+       {std::string_view("AW"), std::string_view("ACW"), std::string_view("AG"),
+        std::string_view("W"), std::string_view("ARNDCQEGHILKMFPSTWYV")}) {
+    for (const auto& sc : scorings) {
+      for (const std::size_t count : {1, 2, 3, 7, 8, 9, 17}) {
+        LaneBatch b;
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::size_t len = rng.chance(0.1) ? 0 : 1 + rng.below(90);
+          b.q.push_back(random_protein(rng, len, aas));
+          b.r.push_back(rng.chance(0.1)   ? std::string()
+                        : rng.chance(0.6) ? mutate(rng, b.q.back(), 0.3, aas)
+                                          : random_protein(rng, 1 + rng.below(90), aas));
+          b.diag.push_back(static_cast<int>(rng.below(41)) - 20);
+        }
+        expect_lanes_match(b, sc, {});
+        expect_lanes_match(b, sc, {false, static_cast<int>(rng.below(20))});
+      }
+    }
+  }
+}
+
+// One lane scores past the int16 limit (3500 W-W matches at 11 each). It
+// alone is re-run on the scalar kernel; its three neighbours in the same
+// four-lane group keep their lane results, and every result matches the
+// reference. (Eight lanes of 3500-column profiles would not fit the
+// working-set cap, and the group would run scalar from the start.)
+TEST(LaneKernel, SaturatedLaneFallsBackAlone) {
+  pastis::util::Xoshiro256 rng(101);
+  LaneBatch b;
+  b.q.push_back(std::string(3500, 'W'));
+  b.r.push_back(std::string(3500, 'W'));
+  b.diag.push_back(0);
+  for (int k = 1; k < 4; ++k) {
+    b.q.push_back(random_protein(rng, 40 + rng.below(60)));
+    b.r.push_back(mutate(rng, b.q.back(), 0.2));
+    b.diag.push_back(static_cast<int>(rng.below(5)) - 2);
+  }
+  const auto pairs = b.pairs();
+  const std::vector<std::uint32_t> members = {0, 1, 2, 3};
+  std::vector<pa::AlignResult> out(pairs.size());
+  const pa::LaneBand band{false, 2};
+  EXPECT_EQ(pa::align_lane_group(pairs, members, scoring(), band, out), 1u);
+  EXPECT_EQ(out[0].score, 3500 * 11);
+  EXPECT_GT(out[0].score, 32767);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    expect_same(out[k], pa::path_stat_smith_waterman(b.q[k], b.r[k], scoring(),
+                                                     b.diag[k], 2));
+  }
+}
+
+// A band that enters the matrix below row 1 (diag_center < -half_width)
+// gives the scalar kernel's empty alignment: the DP stops at row 1's empty
+// band. The lane kernel keeps that behaviour bit for bit, next to lanes
+// whose bands are in the matrix.
+TEST(LaneKernel, BandBelowRowOneGivesEmptyAlignment) {
+  pastis::util::Xoshiro256 rng(103);
+  LaneBatch b;
+  for (int k = 0; k < 8; ++k) {
+    b.q.push_back(random_protein(rng, 60));
+    b.r.push_back(mutate(rng, b.q.back(), 0.1));
+    b.diag.push_back(k % 2 == 0 ? -20 : 0);
+  }
+  const auto pairs = b.pairs();
+  std::vector<pa::AlignResult> out(pairs.size());
+  ASSERT_EQ(pa::align_lanes(pairs, scoring(), {false, 8}, out), 0u);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    expect_same(out[k],
+                pa::banded_smith_waterman(b.q[k], b.r[k], scoring(), b.diag[k], 8));
+    if (b.diag[k] < -8) {
+      expect_same(out[k], pa::AlignResult{});
+    } else {
+      EXPECT_GT(out[k].score, 0);
+    }
+  }
+}
+
+// Every pair lands in exactly one group of at most kLaneWidth pairs.
+TEST(LaneKernel, PlanCoversEveryPairOnce) {
+  pastis::util::Xoshiro256 rng(107);
+  LaneBatch b;
+  for (int k = 0; k < 300; ++k) {
+    b.q.push_back(random_protein(rng, 1 + rng.below(900)));
+    b.r.push_back(random_protein(rng, 1 + rng.below(900)));
+    b.diag.push_back(0);
+  }
+  const auto pairs = b.pairs();
+  for (const pa::LaneBand band : {pa::LaneBand{}, pa::LaneBand{false, 32}}) {
+    pa::LanePlan plan;
+    pa::plan_lane_groups(pairs, band, plan);
+    std::vector<int> seen(pairs.size(), 0);
+    for (std::size_t g = 0; g < plan.groups(); ++g) {
+      const auto group = plan.group(g);
+      ASSERT_GE(group.size(), 1u);
+      ASSERT_LE(group.size(), pa::kLaneWidth);
+      for (const std::uint32_t k : group) ++seen[k];
+    }
+    for (const int s : seen) EXPECT_EQ(s, 1);
+  }
+}
+
 TEST(XDrop, ExactSeedExtendsFully) {
   const std::string s = "MKVLAETGWTMKVLAETGWT";
   const auto res = pa::xdrop_extend(s, s, 5, 5, 6, scoring(), 20);

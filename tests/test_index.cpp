@@ -17,6 +17,8 @@
 #include "index/kmer_index.hpp"
 #include "index/placement.hpp"
 #include "index/query_engine.hpp"
+#include "kmer/extract.hpp"
+#include "oracle/gotoh.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -349,6 +351,42 @@ TEST(QueryEngine, MatchesConcatenatedSearchAcrossShardAndProcessCounts) {
       EXPECT_EQ(result.stats.total_queries, queries.size());
     }
   }
+}
+
+// The engine's hits against an independent full-traceback Gotoh over every
+// reference-query pair sharing common_kmer_threshold k-mers (cascade off):
+// the same pairs, with equal scores, identity and coverage.
+TEST(QueryEngine, HitsEqualTheOracleOverSharedKmerPairs) {
+  const auto refs = make_refs(120, 37);
+  const auto queries = make_queries(refs, 50, 41);
+  const pc::PastisConfig cfg;
+  ASSERT_FALSE(cfg.cascade.any());
+  std::vector<std::string> seqs = refs;
+  seqs.insert(seqs.end(), queries.begin(), queries.end());
+  const pastis::kmer::Alphabet alphabet(cfg.alphabet);
+  const pastis::kmer::KmerCodec codec(alphabet.size(), cfg.k);
+  std::vector<std::vector<std::uint64_t>> kmers;
+  for (const auto& s : seqs) {
+    std::vector<std::uint64_t> codes;
+    for (const auto& h : pastis::kmer::extract_distinct_kmers(s, alphabet, codec)) {
+      codes.push_back(h.code);
+    }
+    std::sort(codes.begin(), codes.end());
+    kmers.push_back(std::move(codes));
+  }
+  const auto want = pastis::test_oracle::brute_force_edges(
+      seqs, kmers, cfg.common_kmer_threshold,
+      static_cast<std::uint32_t>(refs.size()), cfg.make_scoring(),
+      cfg.ani_threshold, cfg.cov_threshold);
+  ASSERT_GT(want.size(), 10u);
+
+  const auto idx = pidx::KmerIndex::build(refs, cfg, 3);
+  pidx::QueryEngine engine(idx, cfg, {}, {});
+  auto got = engine.serve(split_batches(queries, 2)).hits;
+  std::sort(got.begin(), got.end(), [](const auto& a, const auto& b) {
+    return std::pair(a.seq_a, a.seq_b) < std::pair(b.seq_a, b.seq_b);
+  });
+  EXPECT_EQ(got, want);
 }
 
 TEST(QueryEngine, SeededAlignmentAndSchemesStayBitIdentical) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/pipeline.hpp"
 #include "exec/timeline.hpp"
 #include "gen/protein_gen.hpp"
 #include "index/kmer_index.hpp"
@@ -411,6 +412,46 @@ std::vector<std::vector<std::string>> obs_batches(
 }
 
 }  // namespace
+
+// The align stage's DP pass is one measured `align.dp` span per block,
+// carrying the pairs, logical cells and lane groups it ran; with metrics on
+// it adds `align.scalar_fallbacks_total`. Observing it changes no edge.
+TEST(Telemetry, AlignDpSpanCountsTheBlockAndLeavesEdgesUnchanged) {
+  const auto seqs = obs_refs(180, 29);
+  pastis::core::PastisConfig cfg;
+  cfg.block_rows = cfg.block_cols = 2;
+  const auto base =
+      pastis::core::SimilaritySearch(cfg, {}, 4).run(seqs);
+
+  pobs::MetricsRegistry reg;
+  pobs::Tracer tr;
+  cfg.telemetry = pobs::Telemetry{&reg, &tr};
+  const auto traced = pastis::core::SimilaritySearch(cfg, {}, 4).run(seqs);
+  EXPECT_EQ(traced.edges, base.edges);
+  ASSERT_GT(base.edges.size(), 0u);
+
+  double pairs = 0.0, cells = 0.0, groups = 0.0;
+  int spans = 0;
+  const auto doc = pj::parse(tr.to_json());
+  for (const auto& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "X" || e.at("name").as_string() != "align.dp") {
+      continue;
+    }
+    ++spans;
+    EXPECT_EQ(e.at("pid").as_number(), pobs::Tracer::kMeasuredPid);
+    pairs += e.at("args").at("pairs").as_number();
+    cells += e.at("args").at("cells").as_number();
+    groups += e.at("args").at("lane_groups").as_number();
+  }
+  EXPECT_EQ(spans, cfg.block_rows * cfg.block_cols);
+  EXPECT_EQ(pairs, static_cast<double>(traced.stats.aligned_pairs));
+  EXPECT_EQ(cells, static_cast<double>(traced.stats.align_cells));
+  EXPECT_GT(groups, 0.0);
+  EXPECT_LE(groups, pairs);
+  const auto counters = reg.snapshot().counters;
+  ASSERT_TRUE(counters.contains("align.scalar_fallbacks_total"));
+  EXPECT_EQ(counters.at("align.scalar_fallbacks_total"), 0.0);
+}
 
 TEST(Telemetry, ServeModeledTracksReproduceMakespan) {
   const auto refs = obs_refs(90, 41);

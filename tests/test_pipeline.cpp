@@ -11,6 +11,8 @@
 #include "core/pipeline.hpp"
 #include "gen/protein_gen.hpp"
 #include "io/fasta.hpp"
+#include "kmer/extract.hpp"
+#include "oracle/gotoh.hpp"
 
 namespace pc = pastis::core;
 namespace pg = pastis::gen;
@@ -38,7 +40,46 @@ std::map<std::pair<std::uint32_t, std::uint32_t>, int> edge_map(
   return m;
 }
 
+/// Each sequence's distinct k-mer codes under `cfg`, sorted.
+std::vector<std::vector<std::uint64_t>> kmer_sets(
+    const std::vector<std::string>& seqs, const pc::PastisConfig& cfg) {
+  const pastis::kmer::Alphabet alphabet(cfg.alphabet);
+  const pastis::kmer::KmerCodec codec(alphabet.size(), cfg.k);
+  std::vector<std::vector<std::uint64_t>> out;
+  for (const auto& s : seqs) {
+    std::vector<std::uint64_t> codes;
+    for (const auto& h : pastis::kmer::extract_distinct_kmers(s, alphabet, codec)) {
+      codes.push_back(h.code);
+    }
+    std::sort(codes.begin(), codes.end());
+    out.push_back(std::move(codes));
+  }
+  return out;
+}
+
 }  // namespace
+
+// The exact configuration (full SW, cascade off) against an independent
+// full-traceback Gotoh over every pair sharing common_kmer_threshold
+// k-mers: the same edges, with equal scores, identity and coverage. Lengths
+// run from 40 to 600, so lane groups are partly filled and mix shapes.
+TEST(Pipeline, EdgesEqualTheOracleOverSharedKmerPairs) {
+  const auto data = test_dataset(160, 31);
+  const auto cfg = base_config();
+  ASSERT_FALSE(cfg.cascade.any());
+  const auto want = pastis::test_oracle::brute_force_edges(
+      data.seqs, kmer_sets(data.seqs, cfg), cfg.common_kmer_threshold, 0,
+      cfg.make_scoring(), cfg.ani_threshold, cfg.cov_threshold);
+  ASSERT_GT(want.size(), 20u);
+  for (const int nprocs : {1, 4}) {
+    pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, nprocs);
+    auto got = search.run(data.seqs).edges;
+    std::sort(got.begin(), got.end(), [](const auto& a, const auto& b) {
+      return std::pair(a.seq_a, a.seq_b) < std::pair(b.seq_a, b.seq_b);
+    });
+    EXPECT_EQ(got, want) << "nprocs=" << nprocs;
+  }
+}
 
 TEST(Pipeline, EndToEndFindsFamilyStructure) {
   const auto data = test_dataset();
